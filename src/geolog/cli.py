@@ -24,6 +24,7 @@ import scipy.optimize
 from .matcore import (
     MetricParams,
     NonPositiveDeterminantError,
+    log_invariants,
     polar_decompose,
     principal_log_spd,
     mat_exp,
@@ -44,7 +45,10 @@ from .constitutive import (
     almansi_rate_check,
     coaxial_lograte_check,
     energy,
+    energy_from_logs,
     kirchhoff_stress,
+    principal_kirchhoff as _principal_kirchhoff,
+    sample_gl as _random_gl,
     tension_compression_check,
 )
 from .oracle import (
@@ -57,6 +61,7 @@ from .oracle import (
     substream,
     weighted_logmin_oracle,
     _path_activity,
+    _relative_gap,
 )
 
 EXIT_OK = 0
@@ -177,43 +182,6 @@ class FitResult:
 # ---------------------------------------------------------------------------
 # scalar engine for diagonal deformation families
 # ---------------------------------------------------------------------------
-
-def _principal_kirchhoff(model: MaterialModel, logs: Sequence[float]) -> List[float]:
-    """Principal Kirchhoff stresses from log stretches (coaxial fast path)."""
-    n = len(logs)
-    t = sum(logs)
-    mean = t / n
-    dev = [l - mean for l in logs]
-    if model.kind == "hencky":
-        gain_iso = gain_vol = 1.0
-    elif model.kind == "exp_hencky":
-        dev2 = sum(d * d for d in dev)
-        gain_iso = math.exp(model.k * dev2)
-        gain_vol = math.exp(model.khat * t * t)
-    else:
-        raise UnsupportedCombinationError(
-            f"model {model.kind!r} has no stress law in this tool"
-        )
-    return [2.0 * model.mu * gain_iso * d + model.kappa * gain_vol * t for d in dev]
-
-
-def _energy_from_logs(model: MaterialModel, logs: Sequence[float]) -> float:
-    n = len(logs)
-    t = sum(logs)
-    mean = t / n
-    iso2 = sum((l - mean) ** 2 for l in logs)
-    if model.kind == "hencky":
-        return model.mu * iso2 + 0.5 * model.kappa * t * t
-    if model.kind == "exp_hencky":
-        w = (model.mu / model.k) * math.exp(model.k * iso2)
-        w += (model.kappa / (2.0 * model.khat)) * math.exp(model.khat * t * t)
-        if model.normalized:
-            w -= model.mu / model.k + model.kappa / (2.0 * model.khat)
-        return w
-    raise UnsupportedCombinationError(
-        f"model {model.kind!r} has no path energy in this tool"
-    )
-
 
 def _lateral_log_free(model: MaterialModel, l_ax: float) -> float:
     """Lateral log stretch with zero lateral stress, by bisection.
@@ -346,16 +314,14 @@ def path_rows(mode: DeformationMode, model: MaterialModel) -> List[Tuple[float, 
             stress = _shear_stress_scalar("kirchhoff", model, control)
             rows.append((control, 1.0, omega_iso(F), omega_vol(F), w, stress))
         else:
-            t = sum(logs)
-            mean = t / 3.0
-            iso = math.sqrt(sum((l - mean) ** 2 for l in logs))
+            iso2, t = log_invariants(logs)
             rows.append(
                 (
                     control,
                     math.exp(t),
-                    iso,
+                    math.sqrt(iso2),
                     abs(t),
-                    _energy_from_logs(model, logs),
+                    energy_from_logs(model, logs),
                     _diag_stress_scalar(mode.kind, stress_kind_default, model, logs),
                 )
             )
@@ -431,13 +397,6 @@ def _print_measure(payload: dict, fmt: str, out: TextIO) -> None:
 # verify suites
 # ---------------------------------------------------------------------------
 
-def _random_gl(rng: np.random.Generator, n: int) -> np.ndarray:
-    while True:
-        F = rng.uniform(-2.0, 2.0, size=(n, n))
-        if 0.1 <= np.linalg.det(F) <= 10.0:
-            return F
-
-
 def _auto_nodes(F: np.ndarray) -> int:
     pol = polar_decompose(F)
     theta = math.atan2(pol.rotation[1, 0], pol.rotation[0, 0])
@@ -503,14 +462,13 @@ def _suite_logmin(dim: int, cfg: OracleConfig) -> List[OracleVerdict]:
 
 def _verdict(claim: str, closed: float, oracle: float, tol: float,
              passed: Optional[bool] = None, witness: Optional[np.ndarray] = None) -> OracleVerdict:
-    gap = oracle - closed if abs(closed) <= 1e-12 else (oracle - closed) / abs(closed)
     if passed is None:
         passed = abs(oracle - closed) <= tol
     return OracleVerdict(
         claim=claim,
         closed_form_value=closed,
         oracle_value=oracle,
-        relative_gap=gap,
+        relative_gap=_relative_gap(oracle, closed),
         passed=passed,
         witness=witness,
     )

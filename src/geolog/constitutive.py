@@ -10,23 +10,29 @@ their classically named members.  Kinematics helpers split a velocity
 gradient, evaluate corotational and convected rates along sampled motions,
 and check the two rate identities that hold exactly for the Almansi strain
 and for coaxial logarithmic strain.
+
+The logarithmic and Biot energies and the Kirchhoff stress only see the
+stretch spectrum: each is scalar work on the singular values of one SVD of F
+(matcore.stretch_spectrum), with the left singular frame carrying the stress.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
-from .geodesy import omega_iso, omega_vol
 from .matcore import (
     Mat,
     NonPositiveDeterminantError,
     as_square,
     deviatoric,
+    log_invariants,
     principal_log_spd,
     skew_part,
+    stretch_spectrum,
     sym_part,
 )
 from .strain import StrainTensor
@@ -40,7 +46,9 @@ __all__ = [
     "ZeroDistortionError",
     "lame_lambda",
     "energy",
+    "energy_from_logs",
     "kirchhoff_stress",
+    "principal_kirchhoff",
     "cauchy_stress",
     "first_piola_fd",
     "hill_law",
@@ -51,6 +59,7 @@ __all__ = [
     "coaxial_lograte_check",
     "shield_transform",
     "criscione_invariants",
+    "sample_gl",
     "tension_compression_check",
 ]
 
@@ -143,8 +152,47 @@ def _require_positive_det(F: Mat) -> Mat:
     return F
 
 
+def energy_from_logs(model: MaterialModel, logs: Sequence[float]) -> float:
+    """Energy of a logarithmic model from the principal log stretches."""
+    iso2, t = log_invariants(logs)
+    if model.kind == "hencky":
+        return model.mu * iso2 + 0.5 * model.kappa * t * t
+    if model.kind == "exp_hencky":
+        w = (model.mu / model.k) * math.exp(model.k * iso2)
+        w += (model.kappa / (2.0 * model.khat)) * math.exp(model.khat * t * t)
+        if model.normalized:
+            w -= model.mu / model.k + model.kappa / (2.0 * model.khat)
+        return w
+    raise UnsupportedModelError(f"model kind {model.kind!r} has no energy in log stretches")
+
+
+def principal_kirchhoff(model: MaterialModel, logs: Sequence[float]) -> list[float]:
+    """Principal Kirchhoff stresses of a logarithmic model from the principal log stretches.
+
+    For the quadratic energy tau_i = 2 mu dev_i + kappa tr; the exponentiated
+    energy scales the two parts by exp(k omega_iso^2) and exp(khat omega_vol^2)
+    respectively (chain rule through the log stretches).
+    """
+    n = len(logs)
+    t = sum(logs)
+    mean = t / n
+    dev = [l - mean for l in logs]
+    if model.kind == "hencky":
+        gain_iso = gain_vol = 1.0
+    elif model.kind == "exp_hencky":
+        dev2 = sum(d * d for d in dev)
+        gain_iso = math.exp(model.k * dev2)
+        gain_vol = math.exp(model.khat * t * t)
+    else:
+        raise UnsupportedModelError(f"model kind {model.kind!r} has no stress in log stretches")
+    return [2.0 * model.mu * gain_iso * d + model.kappa * gain_vol * t for d in dev]
+
+
 def energy(model: MaterialModel, F: Mat) -> float:
     """Strain energy density of the model at the deformation gradient F.
+
+    Every kind but the Green-strain energy is a function of the singular
+    values of F alone.
 
     Raises
     ------
@@ -153,57 +201,42 @@ def energy(model: MaterialModel, F: Mat) -> float:
     UnsupportedModelError
         For model kinds that are stress laws without an energy.
     """
+    if model.kind in ("hencky", "exp_hencky"):
+        return energy_from_logs(model, np.log(stretch_spectrum(F)[1]).tolist())
+    if model.kind == "biot_linear":
+        e = stretch_spectrum(F)[1] - 1.0
+        lam = lame_lambda(model, e.size)
+        return model.mu * float(e @ e) + 0.5 * lam * float(np.sum(e)) ** 2
     F = _require_positive_det(F)
-    n = F.shape[0]
-    if model.kind == "hencky":
-        return model.mu * omega_iso(F) ** 2 + 0.5 * model.kappa * omega_vol(F) ** 2
-    if model.kind == "exp_hencky":
-        w = (model.mu / model.k) * math.exp(model.k * omega_iso(F) ** 2)
-        w += (model.kappa / (2.0 * model.khat)) * math.exp(model.khat * omega_vol(F) ** 2)
-        if model.normalized:
-            w -= model.mu / model.k + model.kappa / (2.0 * model.khat)
-        return w
     if model.kind == "svk":
+        n = F.shape[0]
         E = (F.T @ F - np.eye(n)) / 2.0
         dev = deviatoric(E)
         return model.mu * float(np.sum(dev * dev)) + 0.5 * model.kappa * float(np.trace(E)) ** 2
-    if model.kind == "biot_linear":
-        from .matcore import polar_decompose
-
-        E = polar_decompose(F).right_stretch - np.eye(n)
-        lam = lame_lambda(model, n)
-        return model.mu * float(np.sum(E * E)) + 0.5 * lam * float(np.trace(E)) ** 2
     raise UnsupportedModelError(f"model kind {model.kind!r} has no energy function")
-
-
-def _log_left_stretch(F: Mat) -> Mat:
-    return 0.5 * principal_log_spd(sym_part(F @ F.T))
 
 
 def kirchhoff_stress(model: MaterialModel, F: Mat) -> Mat:
     """Kirchhoff stress tensor of the logarithmic energies.
 
-    For the quadratic energy tau = 2 mu dev_n log V + kappa tr(log V) id; the
-    exponentiated energy scales the two parts by exp(k omega_iso^2) and
-    exp(khat omega_vol^2) respectively (chain rule through log V).
+    With F = A diag(s) B^T, tau = A diag(tau_i) A^T where tau_i are the
+    :func:`principal_kirchhoff` stresses of log s; for the quadratic energy
+    this is tau = 2 mu dev_n log V + kappa tr(log V) id.  Taking log s from
+    the SVD of F, not the log of F F^T, keeps the condition number of F from
+    being squared.
 
     Raises
     ------
+    NonPositiveDeterminantError
+        If det F <= 0.
     UnsupportedModelError
         For kinds other than the two logarithmic energies.
     """
-    F = _require_positive_det(F)
     if model.kind not in ("hencky", "exp_hencky"):
         raise UnsupportedModelError(f"kirchhoff_stress supports the logarithmic energies, not {model.kind!r}")
-    n = F.shape[0]
-    log_v = _log_left_stretch(F)
-    dev = deviatoric(log_v)
-    tr = float(np.trace(log_v))
-    if model.kind == "hencky":
-        return 2.0 * model.mu * dev + model.kappa * tr * np.eye(n)
-    iso_gain = math.exp(model.k * float(np.sum(dev * dev)))
-    vol_gain = math.exp(model.khat * tr * tr)
-    return 2.0 * model.mu * iso_gain * dev + model.kappa * vol_gain * tr * np.eye(n)
+    A, s, _ = stretch_spectrum(F)
+    tau = np.array(principal_kirchhoff(model, np.log(s).tolist()))
+    return sym_part(A @ (tau[:, None] * A.T))
 
 
 def cauchy_stress(tau: Mat, F: Mat) -> Mat:
@@ -379,7 +412,8 @@ class TensionCompressionReport:
     witness: "Mat | None"
 
 
-def _sample_gl(rng: np.random.Generator, n: int) -> Mat:
+def sample_gl(rng: np.random.Generator, n: int) -> Mat:
+    """Draw an n x n matrix with entries uniform in [-2, 2] and 0.1 <= det <= 10."""
     while True:
         F = rng.uniform(-2.0, 2.0, size=(n, n))
         if 0.1 <= float(np.linalg.det(F)) <= 10.0:
@@ -397,7 +431,7 @@ def tension_compression_check(model: MaterialModel, samples: int, seed: int) -> 
     max_gap = 0.0
     witness = None
     for _ in range(samples):
-        F = _sample_gl(rng, 3)
+        F = sample_gl(rng, 3)
         w = energy(model, F)
         w_inv = energy(model, np.linalg.inv(F))
         gap = abs(w - w_inv) / max(1.0, abs(w))

@@ -9,10 +9,10 @@ neighbouring distances used for comparison (Euclidean distance to the
 rotation group, geodesic distances on the rotation and conformal groups, and
 the trace-metric and Log-Euclidean distances on the positive definite cone).
 
-The closed forms only ever see the stretch spectrum, so every operation here
-reduces to a polar decomposition followed by scalar work on eigenvalues, with
-the two matrix exponentials of the geodesic curve as the only transcendental
-matrix functions.
+The closed forms only ever see the stretch spectrum, so every distance and
+measure of F here is scalar work on the log singular values from one SVD of
+F (matcore.stretch_spectrum), with the two matrix exponentials of the
+geodesic curve as the only transcendental matrix functions.
 """
 
 from __future__ import annotations
@@ -28,13 +28,14 @@ from .matcore import (
     as_square,
     is_rotation,
     is_spd,
+    log_invariants,
     mat_exp,
-    polar_decompose,
     principal_log_rotation,
     principal_log_spd,
     skew_part,
     spd_function,
     split_orthogonal,
+    stretch_spectrum,
     sym_part,
     weighted_norm,
 )
@@ -157,45 +158,34 @@ def geodesic_length(seg: GeodesicSegment) -> float:
     return weighted_norm(seg.tangent_param, seg.params)
 
 
-def _log_right_stretch(F: Mat) -> Mat:
-    return principal_log_spd(polar_decompose(F).right_stretch)
-
-
 def dist_squared_to_SO(F: Mat, p: MetricParams) -> DistanceReport:
     """Squared geodesic distance from F to the rotation group.
 
     The closed form is mu ||dev_n log U||^2 + (kappa/2) tr(log U)^2 with
     U = sqrt(F^T F); the unique minimizer is the polar rotation.  The value
-    does not involve the spin weight mu_c at all; this is asserted on every
-    call by recomputing the weighted norm with mu_c doubled, which also
-    guards the exact symmetry of log U.
+    does not involve the spin weight mu_c at all, because log U is symmetric.
 
     Raises
     ------
     NonPositiveDeterminantError
         If det F <= 0.
     """
-    pd = polar_decompose(F)
-    log_u = principal_log_spd(pd.right_stretch)
-    value = weighted_norm(log_u, p) ** 2
-    doubled = MetricParams(mu=p.mu, mu_c=2.0 * p.mu_c, kappa=p.kappa)
-    value_doubled = weighted_norm(log_u, doubled) ** 2
-    if abs(value - value_doubled) > 1e-12 * max(1.0, value):
-        raise AssertionError("spin weight leaked into the closed-form distance")
-    return DistanceReport(squared_distance=value, minimizer=pd.rotation, method="closed_form")
+    A, s, B = stretch_spectrum(F)
+    iso2, tr = log_invariants(np.log(s).tolist())
+    value = p.mu * iso2 + 0.5 * p.kappa * tr * tr
+    return DistanceReport(squared_distance=value, minimizer=A @ B.T, method="closed_form")
 
 
 def omega_iso(F: Mat) -> float:
     """Isochoric logarithmic strain measure ||dev_n log U||."""
-    log_u = _log_right_stretch(F)
-    n = log_u.shape[0]
-    dev = log_u - np.trace(log_u) / n * np.eye(n)
-    return float(np.linalg.norm(dev))
+    iso2, _ = log_invariants(np.log(stretch_spectrum(F)[1]).tolist())
+    return math.sqrt(iso2)
 
 
 def omega_vol(F: Mat) -> float:
     """Volumetric logarithmic strain measure |tr log U|, equal to |ln det F|."""
-    return abs(float(np.trace(_log_right_stretch(F))))
+    _, tr = log_invariants(np.log(stretch_spectrum(F)[1]).tolist())
+    return abs(tr)
 
 
 def cofactor(F: Mat) -> Mat:
@@ -212,11 +202,9 @@ def dist_cof_squared_to_SO(F: Mat, p: MetricParams) -> float:
     flips the deviatoric part of the logarithm (leaving its norm unchanged)
     and scales the trace by n - 1.
     """
-    log_u = _log_right_stretch(F)
-    n = log_u.shape[0]
-    dev = log_u - np.trace(log_u) / n * np.eye(n)
-    tr = float(np.trace(log_u))
-    return p.mu * float(np.sum(dev * dev)) + 0.5 * p.kappa * (n - 1) ** 2 * tr ** 2
+    _, s, _ = stretch_spectrum(F)
+    iso2, tr = log_invariants(np.log(s).tolist())
+    return p.mu * iso2 + 0.5 * p.kappa * (s.size - 1) ** 2 * tr ** 2
 
 
 def euclid_dist_to_SO(F: Mat) -> DistanceReport:
@@ -225,10 +213,9 @@ def euclid_dist_to_SO(F: Mat) -> DistanceReport:
     The minimum of ||F - Q|| over rotations Q is ||U - id||, attained at the
     polar rotation.
     """
-    pd = polar_decompose(F)
-    n = F.shape[0]
-    d = float(np.linalg.norm(pd.right_stretch - np.eye(n)))
-    return DistanceReport(squared_distance=d * d, minimizer=pd.rotation, method="closed_form")
+    A, s, B = stretch_spectrum(F)
+    d = float(np.linalg.norm(s - 1.0))
+    return DistanceReport(squared_distance=d * d, minimizer=A @ B.T, method="closed_form")
 
 
 def dist_SO(Q: Mat, R: Mat) -> float:
@@ -275,20 +262,20 @@ def dist_log_euclidean(C1: Mat, C2: Mat) -> float:
 def dist_gl_commuting(C1: Mat, C2: Mat) -> float:
     """Frobenius norm of the principal logarithm of C2^{-1} C1 for SPD arguments.
 
-    C2^{-1} C1 is similar to the SPD matrix C2^{-1/2} C1 C2^{-1/2}, so its
-    eigenvalues are real and positive and the principal logarithm exists even
-    though the product is generally not normal.  For commuting pairs this
-    agrees with the trace-metric and Log-Euclidean distances; for
-    non-commuting pairs it is a genuinely different number.
+    C2^{-1} C1 = C2^{-1/2} M C2^{1/2} with M = C2^{-1/2} C1 C2^{-1/2} SPD, so
+    its principal logarithm is C2^{-1/2} log(M) C2^{1/2}, formed here from
+    symmetric eigendecompositions only (the product itself is generally not
+    normal).  For commuting pairs this agrees with the trace-metric and
+    Log-Euclidean distances; for non-commuting pairs it is a genuinely
+    different number.
     """
     if not (is_spd(C1) and is_spd(C2)):
         raise ValueError("both arguments must be SPD")
-    M = np.linalg.solve(as_square(C2, "C2"), as_square(C1, "C1"))
-    lam, V = np.linalg.eig(M)
-    if np.any(lam.real <= 0.0):
-        raise ValueError("product has a non-positive eigenvalue")
-    L = (V * np.log(lam.real)) @ np.linalg.inv(V)
-    return float(np.linalg.norm(L.real))
+    C2 = as_square(C2, "C2")
+    S = spd_function(C2, lambda w: w ** -0.5, "C2")
+    M = sym_part(S @ as_square(C1, "C1") @ S)
+    # C2 S = C2^{1/2}, so one eigendecomposition of C2 gives both roots
+    return float(np.linalg.norm(S @ principal_log_spd(M) @ (C2 @ S)))
 
 
 def psym_geodesic_point(C1: Mat, M: Mat, t: float) -> Mat:

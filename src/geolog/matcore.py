@@ -3,7 +3,8 @@
 Everything downstream (strain tensors, geodesic distances, constitutive laws,
 brute-force verification) rests on the primitives collected here: the
 orthogonal sym/skew/spherical splitting, the weighted inner product it
-induces, polar decomposition, and principal matrix functions on the classes
+induces, the stretch spectrum (one SVD of F) with the polar decomposition
+built on it, and principal matrix functions on the classes
 that actually occur in elasticity (symmetric positive definite matrices,
 rotations, and general square matrices for the exponential).
 
@@ -16,6 +17,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
@@ -92,14 +94,6 @@ def is_rotation(Q: Mat, tol: float = 1e-10) -> bool:
     n = Q.shape[0]
     ortho = float(np.max(np.abs(Q.T @ Q - np.eye(n)))) <= _tol(tol, Q)
     return ortho and np.linalg.det(Q) > 0.0
-
-
-def is_invertible_positive_det(F: Mat, tol: float = 1e-10, cond_limit: float = 1e14) -> bool:
-    F = as_square(F)
-    if np.linalg.det(F) <= 0.0:
-        return False
-    s = np.linalg.svd(F, compute_uv=False)
-    return bool(s[-1] > 0.0 and s[0] / s[-1] <= cond_limit)
 
 
 @dataclass(frozen=True)
@@ -187,35 +181,22 @@ def weighted_norm(X: Mat, p: MetricParams) -> float:
     return math.sqrt(max(weighted_inner(X, X, p), 0.0))
 
 
-def polar_decompose(F: Mat, cond_limit: float = 1e14) -> PolarDecomposition:
-    """Polar factors of an orientation-preserving invertible matrix.
+def stretch_spectrum(F: Mat, cond_limit: float = 1e14) -> tuple[Mat, np.ndarray, Mat]:
+    """SVD F = A diag(s) B^T of an orientation-preserving invertible matrix.
 
-    Parameters
-    ----------
-    F : Mat
-        Square matrix with det F > 0.
-    cond_limit : float
-        Largest admissible ratio of extreme singular values.
-
-    Returns
-    -------
-    PolarDecomposition
-        rotation R, right stretch U = sqrt(F^T F) and left stretch
-        V = sqrt(F F^T), satisfying F = R U = V R.
+    Every isotropic closed form of F in the package is scalar work on the
+    singular values s in one of these frames: A B^T is the polar rotation,
+    U = B diag(s) B^T and V = A diag(s) A^T are the stretches.  Should
+    det(A B^T) come out negative (impossible once det F > 0 is enforced, but
+    kept for robustness), the sign is folded into the column belonging to
+    the smallest singular value.
 
     Raises
     ------
     NonPositiveDeterminantError
         If det F <= 0.
     SingularMatrixError
-        If the condition number exceeds ``cond_limit``.
-
-    Notes
-    -----
-    Computed from the SVD F = A diag(s) B^T as R = A B^T, U = B diag(s) B^T,
-    V = A diag(s) A^T.  Should det(A B^T) come out negative (impossible once
-    det F > 0 is enforced, but kept for robustness), the sign is folded into
-    the column belonging to the smallest singular value.
+        If s[0] / s[-1], the condition number, exceeds ``cond_limit``.
     """
     F = as_square(F, "F")
     det = float(np.linalg.det(F))
@@ -231,8 +212,30 @@ def polar_decompose(F: Mat, cond_limit: float = 1e14) -> PolarDecomposition:
         A[:, -1] *= -1.0
         s = s.copy()
         s[-1] *= -1.0
-    B = Bt.T
-    R = A @ Bt
+    return A, s, Bt.T
+
+
+def log_invariants(logs: Sequence[float]) -> tuple[float, float]:
+    """Squared norm of the deviator and the sum of the principal log stretches.
+
+    For logs = log s these are ||dev_n log U||^2 and tr log U, the two
+    invariants every logarithmic distance, measure and energy is built from.
+    """
+    n = len(logs)
+    t = sum(logs)
+    mean = t / n
+    return sum((l - mean) ** 2 for l in logs), t
+
+
+def polar_decompose(F: Mat, cond_limit: float = 1e14) -> PolarDecomposition:
+    """Polar factors of an orientation-preserving invertible matrix.
+
+    Returns rotation R = A B^T, right stretch U = sqrt(F^T F) and left
+    stretch V = sqrt(F F^T), satisfying F = R U = V R, from the
+    :func:`stretch_spectrum` of F, whose checks and errors apply.
+    """
+    A, s, B = stretch_spectrum(F, cond_limit)
+    R = A @ B.T
     U = B @ (s[:, None] * B.T)
     V = A @ (s[:, None] * A.T)
     return PolarDecomposition(rotation=R, right_stretch=sym_part(U), left_stretch=sym_part(V))

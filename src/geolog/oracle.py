@@ -25,11 +25,10 @@ from .matcore import (
     MetricParams,
     as_square,
     polar_decompose,
-    principal_log_spd,
     sym_part,
     weighted_norm,
 )
-from .geodesy import dist_squared_to_SO
+from .geodesy import dist_squared_to_SO, euclid_dist_to_SO
 
 __all__ = [
     "OracleConfig",
@@ -234,8 +233,8 @@ def grioli_oracle(F: Mat, cfg: OracleConfig) -> OracleVerdict:
     n = F.shape[0]
     if n not in (2, 3):
         raise ValueError("rotation search supports 2x2 and 3x3 inputs only")
-    pol = polar_decompose(F)
-    closed = float(np.linalg.norm(pol.right_stretch - np.eye(n)))
+    report = euclid_dist_to_SO(F)
+    closed = report.distance
 
     if n == 2:
         def g(theta: float) -> float:
@@ -269,7 +268,7 @@ def grioli_oracle(F: Mat, cfg: OracleConfig) -> OracleVerdict:
                 best, w_best = val, w
         q_best = _rot3_axis_angle(w_best)
 
-    matches = float(np.linalg.norm(q_best - pol.rotation)) <= 1e-4
+    matches = float(np.linalg.norm(q_best - report.minimizer)) <= 1e-4
     passed = best >= closed - cfg.tol and matches
     return OracleVerdict(
         claim=f"rotation misfit minimum ({n}x{n})",
@@ -728,8 +727,7 @@ def logmin_oracle(F: Mat, cfg: OracleConfig) -> OracleVerdict:
     F = as_square(np.asarray(F, dtype=float), "F")
     if F.shape[0] not in (2, 3):
         raise ValueError("log sampling supports 2x2 and 3x3 inputs only")
-    pol = polar_decompose(F)
-    closed = float(np.linalg.norm(principal_log_spd(pol.right_stretch)))
+    closed = dist_squared_to_SO(F, MetricParams.frobenius(F.shape[0])).distance
     return _logmin_impl(
         F,
         cfg,
@@ -749,8 +747,7 @@ def weighted_logmin_oracle(F: Mat, p: MetricParams, cfg: OracleConfig) -> Oracle
     F = as_square(np.asarray(F, dtype=float), "F")
     if F.shape[0] not in (2, 3):
         raise ValueError("log sampling supports 2x2 and 3x3 inputs only")
-    pol = polar_decompose(F)
-    closed = float(weighted_norm(principal_log_spd(pol.right_stretch), p))
+    closed = dist_squared_to_SO(F, p).distance
     return _logmin_impl(
         F,
         cfg,

@@ -2,13 +2,16 @@
 
 import json
 import math
+import re
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from geolog.cli import (
+    SUITES,
     DeformationMode,
     FitProblem,
     InsufficientDataError,
@@ -28,6 +31,41 @@ from geolog.matcore import MetricParams
 
 SHEAR = "[[1,1],[0,1]]"
 PHI = (1.0 + math.sqrt(5.0)) / 2.0
+README = Path(__file__).resolve().parent.parent / "README.md"
+
+# `path` rows of two diagonal modes as `.17g` strings.  These modes work on
+# log stretches directly, so changes to the matrix closed forms must leave
+# them byte-for-byte unchanged.
+FROZEN_PATHS = {
+    ("uniaxial_free", "exp_hencky"): (
+        ["--mu", "0.5", "--kappa", "1.5", "--k", "0.8", "--khat", "0.3",
+         "--from", "0.5", "--to", "2.5", "--steps", "5"],
+        [
+            "0.5,0.74435079560791617,0.72839606335954332,0.2952428557969885,"
+            "0.3967056490735037,-2.7275889734180039",
+            "1,1,0,0,0,0",
+            "1.5,1.1490669612546998,0.43986509944611762,0.13895027502292545,"
+            "0.11915177262327115,0.41927229527921045",
+            "2,1.3434525843198615,0.72839606335954332,0.2952428557969885,"
+            "0.3967056490735037,0.68189724335450097",
+            "2.5,1.6035409449697378,0.92944170423909356,0.47221427457388948,"
+            "0.79539096630391182,0.90879124587888926",
+        ],
+    ),
+    ("volumetric", "hencky"): (
+        ["--from", "0.4", "--to", "3.0", "--steps", "5"],
+        [
+            "0.40000000000000002,0.39999999999999997,0,0.91629073187415511,"
+            "0.41979435265923742,-2.2907268296853878",
+            "1.05,1.05,0,0.048790164169432049,0.0011902400598400654,0.046466823018506707",
+            "1.7000000000000002,1.7000000000000002,0,0.53062825106217049,"
+            "0.14078317041264893,0.3121342653306885",
+            "2.3500000000000001,2.3500000000000001,0,0.85441532815606758,"
+            "0.36501277649402031,0.36358099070470956",
+            "3,3.0000000000000004,0,1.0986122886681098,0.60347448040629104,0.36620409622270317",
+        ],
+    ),
+}
 
 
 def run_cli(argv, capsys):
@@ -196,6 +234,11 @@ class TestVerify:
         assert code == 3
         assert "planar" in err
 
+    def test_readme_suite_list_matches_cli(self):
+        line = re.search(r"^Suites: (.*?)\. Common flags", README.read_text(), re.M | re.S)
+        named = re.findall(r"`([^`]+)`", line.group(1))
+        assert sorted(named) == sorted(SUITES)
+
     def test_unknown_suite_usage_error(self, capsys):
         code, _, _ = run_cli(["verify", "--suite", "nope"], capsys)
         assert code == 1
@@ -293,6 +336,13 @@ class TestPath:
         code2, _, _ = run_cli(args + ["--out", str(target)], capsys)
         assert code2 == 0
         assert target.read_text() == out
+
+    @pytest.mark.parametrize("mode, model", sorted(FROZEN_PATHS))
+    def test_diagonal_rows_frozen(self, mode, model, capsys):
+        flags, rows = FROZEN_PATHS[(mode, model)]
+        code, out, _ = run_cli(["path", "--mode", mode, "--model", model] + flags, capsys)
+        assert code == 0
+        assert out.splitlines()[1:] == rows
 
     def test_repeat_runs_bitwise_identical(self, capsys):
         args = ["path", "--mode", "uniaxial_free", "--model", "exp_hencky",

@@ -210,6 +210,35 @@ class TestKirchhoffStress:
             tau2 = kirchhoff_stress(m, V @ F)
             assert np.max(np.abs(tau2 - 2.0 * tau1)) < 1e-10 * max(1.0, np.max(np.abs(tau1)))
 
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_ill_conditioned_frames(self, n):
+        # F = Q diag(s) R^T with cond(F) up to 1e6.  The reference is built
+        # from the known log s and left frame Q, not from an SVD.  Rounding F
+        # moves log s_min by about eps cond(F), which the exponential gain
+        # amplifies by 2 k |dev log s|; at k = 1/4 that stays below 1e-9.
+        rng = np.random.default_rng(97 + n)
+        exp_h = MaterialModel(kind="exp_hencky", mu=1.0, kappa=1.0, k=0.25, khat=0.125)
+        for cond in (1e4, 1e5, 1e6):
+            for _ in range(5):
+                Q, R = (np.linalg.qr(rng.standard_normal((n, n)))[0] for _ in range(2))
+                Q[:, 0] *= np.sign(np.linalg.det(Q))
+                R[:, 0] *= np.sign(np.linalg.det(R))
+                half = 0.5 * math.log(cond)
+                logs = np.r_[half, rng.uniform(-half, half, n - 2), -half] + rng.uniform(-0.3, 0.3)
+                F = Q @ np.diag(np.exp(logs)) @ R.T
+                t = float(np.sum(logs))
+                dev = logs - t / n
+                for m, gain_iso, gain_vol in (
+                    (HENCKY, 1.0, 1.0),
+                    (exp_h, math.exp(exp_h.k * float(dev @ dev)), math.exp(exp_h.khat * t * t)),
+                ):
+                    tau_ref = Q @ np.diag(2.0 * m.mu * gain_iso * dev + m.kappa * gain_vol * t) @ Q.T
+                    tau = kirchhoff_stress(m, F)
+                    sigma = cauchy_stress(tau, F)
+                    scale = float(np.max(np.abs(tau_ref)))
+                    assert np.max(np.abs(tau - tau_ref)) <= 1e-9 * scale
+                    assert np.max(np.abs(sigma - tau_ref / math.exp(t))) <= 1e-9 * scale / math.exp(t)
+
     def test_matches_gradient_in_log_stretch(self):
         # directional finite differences of the energy as a function of log V
         rng = np.random.default_rng(89)

@@ -17,7 +17,6 @@ from geolog.matcore import (
     NonPositiveDeterminantError,
     NotSPDError,
     SingularMatrixError,
-    is_invertible_positive_det,
     is_rotation,
     is_skew,
     is_spd,
@@ -443,11 +442,6 @@ class TestPredicates:
         assert is_rotation(rot3([1, 1, 0], -0.4))
         assert not is_rotation(np.diag([1.0, -1.0]))  # orthogonal, det -1
         assert not is_rotation(2.0 * np.eye(2))
-
-    def test_invertible_positive_det(self):
-        assert is_invertible_positive_det(np.diag([2.0, 0.5]))
-        assert not is_invertible_positive_det(np.diag([1.0, -1.0]))
-        assert not is_invertible_positive_det(np.diag([1.0, 1e-15]))
 
     def test_metric_params_validation(self):
         with pytest.raises(ValueError):
