@@ -54,7 +54,6 @@ from .oracle import (
     substream,
     weighted_logmin_oracle,
 )
-from .cli import main
 
 __version__ = "0.1.0"
 
@@ -103,3 +102,13 @@ __all__ = [
     "weighted_norm",
     "__version__",
 ]
+
+
+def __getattr__(name: str):
+    # the CLI is loaded on first use, so `import geolog` stays light and
+    # `python -m geolog.cli` does not find the module already imported
+    if name == "main":
+        from .cli import main
+
+        return main
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -19,7 +19,6 @@ from dataclasses import dataclass
 from typing import Callable, List, Optional, Sequence, TextIO, Tuple
 
 import numpy as np
-import scipy.optimize
 
 from .matcore import (
     MetricParams,
@@ -737,6 +736,9 @@ def run_fit(problem: FitProblem) -> FitResult:
     starts = [base]
     for _ in range(4):
         starts.append(base + 0.7 * rng.standard_normal(ndim))
+
+    # imported here so the other subcommands start without scipy
+    import scipy.optimize
 
     best = None
     any_success = False

@@ -18,15 +18,12 @@ from dataclasses import dataclass
 from typing import Callable, List, Optional, Sequence, Tuple
 
 import numpy as np
-import scipy.linalg
 
 from .matcore import (
     Mat,
     MetricParams,
     as_square,
     polar_decompose,
-    sym_part,
-    weighted_norm,
 )
 from .geodesy import dist_squared_to_SO, euclid_dist_to_SO
 
@@ -122,20 +119,26 @@ def _rot3_axis_angle(w: Sequence[float]) -> np.ndarray:
     return np.eye(3) + a * K + b * (K @ K)
 
 
-def _random_rotation(rng: np.random.Generator, n: int) -> np.ndarray:
+def _random_rotations(rng: np.random.Generator, n: int, count: int) -> np.ndarray:
+    """`count` rotations uniform on SO(n), shape (count, n, n).
+
+    The stream is consumed sample by sample (one angle per planar rotation,
+    four normals per spatial one), so the first k rotations do not depend
+    on `count`.
+    """
     if n == 2:
-        return _rot2(float(rng.uniform(-math.pi, math.pi)))
-    # uniform on SO(3) via normalized quaternion
-    q = rng.standard_normal(4)
-    q = q / np.linalg.norm(q)
-    a, b, c, d = q
-    return np.array(
-        [
-            [a * a + b * b - c * c - d * d, 2 * (b * c - a * d), 2 * (b * d + a * c)],
-            [2 * (b * c + a * d), a * a - b * b + c * c - d * d, 2 * (c * d - a * b)],
-            [2 * (b * d - a * c), 2 * (c * d + a * b), a * a - b * b - c * c + d * d],
-        ]
-    )
+        theta = rng.uniform(-math.pi, math.pi, size=count)
+        c, s = np.cos(theta), np.sin(theta)
+        return np.stack([np.stack([c, -s], axis=-1), np.stack([s, c], axis=-1)], axis=-2)
+    # uniform on SO(3) via normalized quaternions
+    q = rng.standard_normal((count, 4))
+    a, b, c, d = (q / np.linalg.norm(q, axis=1, keepdims=True)).T
+    rows = [
+        [a * a + b * b - c * c - d * d, 2 * (b * c - a * d), 2 * (b * d + a * c)],
+        [2 * (b * c + a * d), a * a - b * b + c * c - d * d, 2 * (c * d - a * b)],
+        [2 * (b * d - a * c), 2 * (c * d + a * b), a * a - b * b - c * c + d * d],
+    ]
+    return np.stack([np.stack(row, axis=-1) for row in rows], axis=-2)
 
 
 def _kronecker_ball_starts(count: int) -> List[np.ndarray]:
@@ -621,8 +624,7 @@ def best_approx_uniqueness_probe(F: Mat, p: MetricParams, cfg: OracleConfig) -> 
     min_excess = math.inf
     worst: Optional[np.ndarray] = None
     all_strict = True
-    for _ in range(int(cfg.samples)):
-        Q = _random_rotation(rng, 2)
+    for Q in _random_rotations(rng, 2, int(cfg.samples)):
         if float(np.linalg.norm(Q - pol.rotation)) <= 0.1:
             continue
         tested += 1
@@ -659,59 +661,83 @@ def best_approx_uniqueness_probe(F: Mat, p: MetricParams, cfg: OracleConfig) -> 
 # sampled logarithm inequality
 # ---------------------------------------------------------------------------
 
-def _principal_log_general(M: np.ndarray) -> Optional[np.ndarray]:
-    """Principal real log of a general square matrix, or None when the
-    spectrum touches the closed negative real axis (no principal branch)."""
+def _principal_logs(M: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """Principal real logs of a stack of square matrices, shape (k, n, n).
+
+    Returns (logs, ok). ok[i] is False when the spectrum of M[i] touches the
+    closed negative real axis, where no principal branch exists; logs[i] is
+    zero there. One stacked `eig` serves every entry; entries with nearly
+    defective eigenvectors (cond(V) >= 1e8) fall back, one by one, to the
+    Schur-based `scipy.linalg.logm`.
+    """
     vals, vecs = np.linalg.eig(M)
-    for lam in vals:
-        if abs(lam.imag) <= 1e-12 * max(1.0, abs(lam)) and lam.real <= 0.0:
-            return None
-    if np.linalg.cond(vecs) < 1e8:
-        L = (vecs * np.log(vals)) @ np.linalg.inv(vecs)
-        return np.ascontiguousarray(L.real)
-    # nearly defective eigenvectors: fall back to the Schur-based routine
-    L = scipy.linalg.logm(M)
-    return np.ascontiguousarray(np.real(L))
+    on_axis = (np.abs(vals.imag) <= 1e-12 * np.maximum(1.0, np.abs(vals))) & (vals.real <= 0.0)
+    ok = ~on_axis.any(axis=-1)
+    logs = np.zeros(M.shape)
+    spectral = ok & (np.linalg.cond(vecs) < 1e8)
+    V = vecs[spectral]
+    logs[spectral] = ((V * np.log(vals[spectral])[:, np.newaxis, :]) @ np.linalg.inv(V)).real
+    defective = np.flatnonzero(ok & ~spectral)
+    if defective.size:
+        import scipy.linalg  # only this rare fallback needs scipy
+
+        for i in defective:
+            logs[i] = np.real(scipy.linalg.logm(M[i]))
+    return logs, ok
 
 
-def _logmin_impl(
-    F: np.ndarray,
-    cfg: OracleConfig,
-    norm_of_sym: Callable[[np.ndarray], float],
-    closed: float,
-    claim: str,
-) -> OracleVerdict:
+def _stacked_weighted_norms(S: np.ndarray, p: MetricParams) -> np.ndarray:
+    """matcore.weighted_norm of every matrix in a stack (k, n, n):
+    sqrt(mu ||dev sym S||^2 + mu_c ||skew S||^2 + (kappa/2) tr^2 S)."""
+    n = S.shape[-1]
+    tr = np.trace(S, axis1=-2, axis2=-1)
+    sym = 0.5 * (S + np.swapaxes(S, -1, -2))
+    dev = sym - (tr / n)[:, np.newaxis, np.newaxis] * np.eye(n)
+    skew = 0.5 * (S - np.swapaxes(S, -1, -2))
+    sq = (
+        p.mu * np.sum(dev * dev, axis=(-2, -1))
+        + p.mu_c * np.sum(skew * skew, axis=(-2, -1))
+        + 0.5 * p.kappa * tr * tr
+    )
+    return np.sqrt(np.maximum(sq, 0.0))
+
+
+def _logmin_impl(F: np.ndarray, cfg: OracleConfig, p: MetricParams, claim: str) -> OracleVerdict:
+    """Sample rotations Q and compare the p-weighted norm of sym log(Q^T F)
+    with the closed form dist(F, SO(n)) under p.
+
+    Index 0 of the stack is the polar factor, followed by cfg.samples draws
+    from substream(cfg.seed, 0). All Q^T F share one stacked `eig`; samples
+    without a principal log are skipped. The reductions keep sample order:
+    the witness is the first violating sample, or else the first minimizer,
+    and equality with the closed form is judged at the polar factor.
+    """
     n = F.shape[0]
+    closed = dist_squared_to_SO(F, p).distance
     pol = polar_decompose(F)
-    rng = substream(cfg.seed, 0)
+    Q = np.concatenate(
+        [pol.rotation[np.newaxis], _random_rotations(substream(cfg.seed, 0), n, int(cfg.samples))]
+    )
+    logs, ok = _principal_logs(np.swapaxes(Q, -1, -2) @ F)
+    sym_logs = 0.5 * (logs + np.swapaxes(logs, -1, -2))
+    values = np.where(ok, _stacked_weighted_norms(sym_logs, p), math.inf)
 
-    value_at_r = None
-    min_val = math.inf
-    min_q: Optional[np.ndarray] = None
-    violation: Optional[np.ndarray] = None
-    for idx in range(int(cfg.samples) + 1):
-        Q = pol.rotation if idx == 0 else _random_rotation(rng, n)
-        L = _principal_log_general(Q.T @ F)
-        if L is None:
-            continue
-        v = norm_of_sym(sym_part(L))
-        if idx == 0:
-            value_at_r = v
-        if v < closed - 1e-9 and violation is None:
-            violation = Q
-        if v < min_val:
-            min_val = v
-            min_q = Q
-    inequality_holds = violation is None
-    attained = value_at_r is not None and abs(value_at_r - closed) <= 1e-8
-    passed = inequality_holds and attained
+    violations = np.flatnonzero(values < closed - 1e-9)
+    min_val = float(np.min(values))
+    if violations.size:
+        witness: Optional[np.ndarray] = Q[violations[0]].copy()
+    elif ok.any():
+        witness = Q[int(np.argmin(values))].copy()
+    else:
+        witness = None
+    attained = bool(ok[0] and abs(values[0] - closed) <= 1e-8)
     return OracleVerdict(
         claim=claim,
         closed_form_value=closed,
-        oracle_value=float(min_val),
+        oracle_value=min_val,
         relative_gap=_relative_gap(min_val, closed),
-        passed=passed,
-        witness=violation if violation is not None else min_q,
+        passed=violations.size == 0 and attained,
+        witness=witness,
     )
 
 
@@ -719,20 +745,22 @@ def logmin_oracle(F: Mat, cfg: OracleConfig) -> OracleVerdict:
     """Sampled check that no admissible rotation beats the polar factor in
     the symmetric-log misfit.
 
-    For each sampled Q whose Q^T F has a principal real log, the Frobenius
-    norm of sym log(Q^T F) must stay above the norm of log of the right
-    stretch (up to 1e-9), with equality at the polar factor itself. Only
-    principal branches are sampled; non-principal logs are out of scope.
+    For the polar factor and cfg.samples rotations Q drawn from
+    substream(cfg.seed, 0), whenever Q^T F has a principal real log, the
+    Frobenius norm of sym log(Q^T F) must stay above the norm of log of the
+    right stretch (up to 1e-9), with equality at the polar factor itself
+    (to 1e-8). Only principal branches are sampled; non-principal logs are
+    out of scope. All samples are evaluated as one stack (see _logmin_impl).
+    The witness is the first violating rotation, or else the first one of
+    least misfit.
     """
     F = as_square(np.asarray(F, dtype=float), "F")
     if F.shape[0] not in (2, 3):
         raise ValueError("log sampling supports 2x2 and 3x3 inputs only")
-    closed = dist_squared_to_SO(F, MetricParams.frobenius(F.shape[0])).distance
     return _logmin_impl(
         F,
         cfg,
-        lambda S: float(np.linalg.norm(S)),
-        closed,
+        MetricParams.frobenius(F.shape[0]),
         "symmetric-log misfit minimized by the polar factor",
     )
 
@@ -747,11 +775,6 @@ def weighted_logmin_oracle(F: Mat, p: MetricParams, cfg: OracleConfig) -> Oracle
     F = as_square(np.asarray(F, dtype=float), "F")
     if F.shape[0] not in (2, 3):
         raise ValueError("log sampling supports 2x2 and 3x3 inputs only")
-    closed = dist_squared_to_SO(F, p).distance
     return _logmin_impl(
-        F,
-        cfg,
-        lambda S: float(weighted_norm(S, p)),
-        closed,
-        "weighted symmetric-log misfit minimized by the polar factor",
+        F, cfg, p, "weighted symmetric-log misfit minimized by the polar factor"
     )

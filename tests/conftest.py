@@ -4,6 +4,7 @@ import re
 
 _CRITERION = re.compile(r"test_acceptance\.py::.*test_criterion_(\d+)")
 _results = {}
+_seconds = {}
 
 
 def pytest_runtest_logreport(report):
@@ -11,6 +12,8 @@ def pytest_runtest_logreport(report):
     if not match:
         return
     num = int(match.group(1))
+    # wall time of every phase (setup, call, teardown) of every part
+    _seconds[num] = _seconds.get(num, 0.0) + report.duration
     if report.when == "call":
         outcome = "PASS" if report.passed else "FAIL"
     elif report.skipped:
@@ -30,4 +33,4 @@ def pytest_terminal_summary(terminalreporter):
         return
     terminalreporter.section("acceptance criteria")
     for num in sorted(_results):
-        terminalreporter.write_line(f"criterion {num}: {_results[num]}")
+        terminalreporter.write_line(f"criterion {num}: {_results[num]} ({_seconds[num]:.2f} s)")

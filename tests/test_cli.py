@@ -520,3 +520,33 @@ class TestEntryPoint:
         )
         assert proc.returncode == 0
         assert "omega_iso" in proc.stdout
+
+    def test_package_import_leaves_scipy_unloaded(self):
+        proc = subprocess.run(
+            [sys.executable, "-c", "import sys, geolog; print('scipy' in sys.modules)"],
+            capture_output=True, text=True,
+        )
+        assert proc.returncode == 0
+        assert proc.stdout.strip() == "False"
+
+    def test_package_main(self):
+        proc = subprocess.run(
+            [sys.executable, "-m", "geolog", "--help"], capture_output=True, text=True
+        )
+        assert proc.returncode == 0
+        assert proc.stderr == ""
+        assert "measure" in proc.stdout
+
+    def test_cli_module_runs_without_runpy_warning(self):
+        proc = subprocess.run(
+            [sys.executable, "-m", "geolog.cli", "--help"], capture_output=True, text=True
+        )
+        assert proc.returncode == 0
+        assert "RuntimeWarning" not in proc.stderr
+
+    def test_main_is_a_package_attribute(self):
+        import geolog
+
+        assert geolog.main is main
+        with pytest.raises(AttributeError):
+            geolog.no_such_name

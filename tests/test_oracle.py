@@ -1,12 +1,21 @@
 """Tests for the brute-force verification engines."""
 
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
+import scipy.linalg
 
-from geolog.matcore import MetricParams, NonPositiveDeterminantError, polar_decompose
+from geolog.matcore import (
+    MetricParams,
+    NonPositiveDeterminantError,
+    polar_decompose,
+    principal_log_spd,
+    weighted_norm,
+)
 from geolog.geodesy import dist_squared_to_SO
+import geolog.oracle as oracle
 from geolog.oracle import (
     OracleConfig,
     best_approx_uniqueness_probe,
@@ -16,6 +25,8 @@ from geolog.oracle import (
     substream,
     weighted_logmin_oracle,
     _path_activity,
+    _principal_logs,
+    _random_rotations,
     _run_path_search,
 )
 
@@ -269,3 +280,99 @@ class TestUniquenessProbe:
     def test_planar_only(self):
         with pytest.raises(ValueError):
             best_approx_uniqueness_probe(np.eye(3), P_FROB, self.CFG)
+
+
+def loop_rotation(rng, n):
+    """One uniform rotation per call, drawn as the stacked sampler draws."""
+    if n == 2:
+        return rot2(float(rng.uniform(-math.pi, math.pi)))
+    q = rng.standard_normal(4)
+    a, b, c, d = q / np.linalg.norm(q)
+    return np.array(
+        [
+            [a * a + b * b - c * c - d * d, 2 * (b * c - a * d), 2 * (b * d + a * c)],
+            [2 * (b * c + a * d), a * a - b * b + c * c - d * d, 2 * (c * d - a * b)],
+            [2 * (b * d - a * c), 2 * (c * d + a * b), a * a - b * b - c * c + d * d],
+        ]
+    )
+
+
+def loop_logmin(F, cfg, norm_of_sym, closed):
+    """Per-rotation reference for the sampled log inequality: returns
+    (passed, min value, witness sample index)."""
+    n = F.shape[0]
+    rng = substream(cfg.seed, 0)
+    value_at_r = None
+    min_val, min_idx, violation = math.inf, None, None
+    for idx in range(cfg.samples + 1):
+        Q = polar_decompose(F).rotation if idx == 0 else loop_rotation(rng, n)
+        vals, vecs = np.linalg.eig(Q.T @ F)
+        if any(abs(l.imag) <= 1e-12 * max(1.0, abs(l)) and l.real <= 0.0 for l in vals):
+            continue
+        if np.linalg.cond(vecs) < 1e8:
+            L = ((vecs * np.log(vals)) @ np.linalg.inv(vecs)).real
+        else:
+            L = np.real(scipy.linalg.logm(Q.T @ F))
+        v = norm_of_sym(0.5 * (L + L.T))
+        if idx == 0:
+            value_at_r = v
+        if v < closed - 1e-9 and violation is None:
+            violation = idx
+        if v < min_val:
+            min_val, min_idx = v, idx
+    passed = violation is None and value_at_r is not None and abs(value_at_r - closed) <= 1e-8
+    return passed, min_val, violation if violation is not None else min_idx
+
+
+class TestStackedLogmin:
+    CFG = OracleConfig(seed=41, samples=400)
+    P = MetricParams(2.0, 0.7, 1.3)
+
+    @pytest.mark.parametrize("n", [2, 3])
+    @pytest.mark.parametrize("inflate", [1.0, 1.02])
+    def test_matches_per_rotation_loop(self, n, inflate, monkeypatch):
+        # inflate > 1 plants a wrong closed form: the verdict must fail and
+        # name the first violating sample
+        exact = oracle.dist_squared_to_SO
+        monkeypatch.setattr(
+            oracle, "dist_squared_to_SO",
+            lambda F, p: SimpleNamespace(distance=inflate * exact(F, p).distance),
+        )
+        rng = np.random.default_rng(43 + n)
+        cfg = self.CFG
+        for _ in range(4):
+            F = random_gl(rng, n)
+            cases = [
+                (logmin_oracle(F, cfg), lambda S: float(np.linalg.norm(S))),
+                (weighted_logmin_oracle(F, self.P, cfg), lambda S: weighted_norm(S, self.P)),
+            ]
+            for verdict, norm_of_sym in cases:
+                passed, value, index = loop_logmin(F, cfg, norm_of_sym, verdict.closed_form_value)
+                assert verdict.passed == passed == (inflate == 1.0)
+                assert verdict.oracle_value == pytest.approx(value, rel=1e-12)
+                rotations = _random_rotations(substream(cfg.seed, 0), n, cfg.samples)
+                expected = polar_decompose(F).rotation if index == 0 else rotations[index - 1]
+                assert np.array_equal(verdict.witness, expected)
+
+    def test_sampler_matches_single_draws(self):
+        for n in (2, 3):
+            stacked = _random_rotations(substream(7, 0), n, 50)
+            rng = substream(7, 0)
+            singles = np.array([loop_rotation(rng, n) for _ in range(50)])
+            assert np.allclose(stacked, singles, rtol=0.0, atol=1e-15)
+            assert np.allclose(np.swapaxes(stacked, 1, 2) @ stacked, np.eye(n), atol=1e-14)
+            assert np.all(np.linalg.det(stacked) > 0.0)
+
+    def test_principal_logs_branches(self, monkeypatch):
+        calls = []
+        logm = scipy.linalg.logm
+        monkeypatch.setattr(scipy.linalg, "logm", lambda M: calls.append(M) or logm(M))
+        jordan = np.array([[2.0, 1.0], [0.0, 2.0]])
+        negative = np.diag([-1.0, 2.0])
+        spd = np.array([[2.0, 0.5], [0.5, 1.0]])
+        logs, ok = _principal_logs(np.stack([jordan, negative, spd, rot2(math.pi)]))
+        assert ok.tolist() == [True, False, True, False]
+        assert len(calls) == 1 and np.array_equal(calls[0], jordan)
+        exact = np.array([[math.log(2.0), 0.5], [0.0, math.log(2.0)]])
+        assert np.allclose(logs[0], exact, rtol=0.0, atol=1e-12)
+        assert np.allclose(logs[2], principal_log_spd(spd), rtol=0.0, atol=1e-13)
