@@ -6,7 +6,7 @@ deformation paths as CSV, and `fit` recovers material parameters from
 stress-control data.
 
 Exit codes: 0 success, 1 usage error, 2 invalid matrix or data, 3 unsupported
-model/mode combination, 4 non-convergence.
+model/mode combination, 4 non-convergence, 5 a `verify` claim failed.
 """
 
 from __future__ import annotations
@@ -68,6 +68,7 @@ EXIT_USAGE = 1
 EXIT_BAD_INPUT = 2
 EXIT_UNSUPPORTED = 3
 EXIT_NO_CONVERGENCE = 4
+EXIT_CLAIM_FAILED = 5
 
 MODE_KINDS = (
     "uniaxial_incompressible",
@@ -881,7 +882,7 @@ def _cmd_verify(args: argparse.Namespace, out: TextIO) -> int:
         out.write(str(verdict) + "\n")
     failed = sum(0 if v.passed else 1 for v in verdicts)
     out.write(f"suite {args.suite}: {len(verdicts) - failed}/{len(verdicts)} claims passed\n")
-    return EXIT_OK if failed == 0 else EXIT_USAGE
+    return EXIT_OK if failed == 0 else EXIT_CLAIM_FAILED
 
 
 def _cmd_path(args: argparse.Namespace, out: TextIO) -> int:

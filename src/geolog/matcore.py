@@ -24,6 +24,8 @@ import numpy as np
 Mat = np.ndarray
 
 ABS_FLOOR = 1e-14
+# largest condition number s[0] / s[-1] the stretch spectrum accepts
+COND_LIMIT = 1e14
 
 
 class NonPositiveDeterminantError(ValueError):
@@ -181,7 +183,7 @@ def weighted_norm(X: Mat, p: MetricParams) -> float:
     return math.sqrt(max(weighted_inner(X, X, p), 0.0))
 
 
-def stretch_spectrum(F: Mat, cond_limit: float = 1e14) -> tuple[Mat, np.ndarray, Mat]:
+def stretch_spectrum(F: Mat) -> tuple[Mat, np.ndarray, Mat]:
     """SVD F = A diag(s) B^T of an orientation-preserving invertible matrix.
 
     Every isotropic closed form of F in the package is scalar work on the
@@ -196,16 +198,16 @@ def stretch_spectrum(F: Mat, cond_limit: float = 1e14) -> tuple[Mat, np.ndarray,
     NonPositiveDeterminantError
         If det F <= 0.
     SingularMatrixError
-        If s[0] / s[-1], the condition number, exceeds ``cond_limit``.
+        If s[0] / s[-1], the condition number, exceeds ``COND_LIMIT``.
     """
     F = as_square(F, "F")
     det = float(np.linalg.det(F))
     if det <= 0.0:
         raise NonPositiveDeterminantError(f"det F = {det:g} is not positive")
     A, s, Bt = np.linalg.svd(F)
-    if s[-1] <= 0.0 or s[0] / s[-1] > cond_limit:
+    if s[-1] <= 0.0 or s[0] / s[-1] > COND_LIMIT:
         raise SingularMatrixError(
-            f"condition number {s[0] / max(s[-1], 1e-300):.3e} exceeds {cond_limit:g}"
+            f"condition number {s[0] / max(s[-1], 1e-300):.3e} exceeds {COND_LIMIT:g}"
         )
     if np.linalg.det(A) * np.linalg.det(Bt) < 0.0:
         A = A.copy()
@@ -227,14 +229,14 @@ def log_invariants(logs: Sequence[float]) -> tuple[float, float]:
     return sum((l - mean) ** 2 for l in logs), t
 
 
-def polar_decompose(F: Mat, cond_limit: float = 1e14) -> PolarDecomposition:
+def polar_decompose(F: Mat) -> PolarDecomposition:
     """Polar factors of an orientation-preserving invertible matrix.
 
     Returns rotation R = A B^T, right stretch U = sqrt(F^T F) and left
     stretch V = sqrt(F F^T), satisfying F = R U = V R, from the
     :func:`stretch_spectrum` of F, whose checks and errors apply.
     """
-    A, s, B = stretch_spectrum(F, cond_limit)
+    A, s, B = stretch_spectrum(F)
     R = A @ B.T
     U = B @ (s[:, None] * B.T)
     V = A @ (s[:, None] * A.T)

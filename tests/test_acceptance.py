@@ -68,8 +68,8 @@ def test_criterion_01_geodesic_distance_oracle():
     """Discrete-path oracle matches the closed-form distance on GL+(2).
 
     100 seeded matrices, three weighted-metric parameter triples; the oracle
-    must land within 2 percent relative above and never undershoot beyond
-    the discretization allowance. Wall-clock budget: 10 minutes.
+    must land within 2 percent relative above and never below the closed
+    form. Wall-clock budget: 10 minutes.
     """
     rng = substream(101, 0)
     t0 = time.time()

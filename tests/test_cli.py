@@ -3,6 +3,7 @@
 import json
 import math
 import re
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -10,6 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import geolog.cli as cli
 from geolog.cli import (
     SUITES,
     DeformationMode,
@@ -28,6 +30,7 @@ from geolog.cli import (
 )
 from geolog.constitutive import MaterialModel, kirchhoff_stress
 from geolog.matcore import MetricParams
+from geolog.oracle import OracleVerdict
 
 SHEAR = "[[1,1],[0,1]]"
 PHI = (1.0 + math.sqrt(5.0)) / 2.0
@@ -242,6 +245,27 @@ class TestVerify:
     def test_unknown_suite_usage_error(self, capsys):
         code, _, _ = run_cli(["verify", "--suite", "nope"], capsys)
         assert code == 1
+
+    def test_failed_claim_has_its_own_exit_code(self, monkeypatch, capsys):
+        failing = OracleVerdict(claim="planted", closed_form_value=1.0, oracle_value=2.0,
+                                relative_gap=1.0, passed=False)
+        monkeypatch.setattr(cli, "run_suite", lambda *args: [failing])
+        code, out, _ = run_cli(["verify", "--suite", "rates"], capsys)
+        assert code == cli.EXIT_CLAIM_FAILED == 5
+        assert "0/1 claims passed" in out
+
+    def test_readme_verify_examples_pass(self, capsys):
+        blocks = re.findall(r"^```sh\n(.*?)^```", README.read_text(), re.M | re.S)
+        commands = [
+            shlex.split(line)[1:]
+            for block in blocks
+            for line in block.replace("\\\n", " ").splitlines()
+            if line.startswith("geolog verify")
+        ]
+        assert commands
+        for argv in commands:
+            code, out, _ = run_cli(argv, capsys)
+            assert code == 0, f"{argv}: {out}"
 
 
 class TestPath:

@@ -24,7 +24,10 @@ from geolog.oracle import (
     logmin_oracle,
     substream,
     weighted_logmin_oracle,
+    _PathProblem,
+    _interp_nodes,
     _path_activity,
+    _polyline_length,
     _principal_logs,
     _random_rotations,
     _run_path_search,
@@ -251,6 +254,35 @@ class TestLogminOracle:
     def test_dimension_guard(self):
         with pytest.raises(ValueError):
             logmin_oracle(np.eye(4), self.CFG)
+
+
+class TestPolylineLength:
+    P = MetricParams(2.0, 1.0, 0.7)
+
+    @pytest.mark.parametrize("a", [0.5, 3.0])
+    def test_scaling_chord(self, a):
+        # (1 + t(a-1))^-1 (a-1) I integrates to the volumetric length 2|ln a|
+        value = _polyline_length([(1.0, 0.0, 0.0, 1.0), (a, 0.0, 0.0, a)], self.P)
+        expect = math.sqrt(0.5 * self.P.kappa) * 2.0 * abs(math.log(a))
+        assert value == pytest.approx(expect, rel=1e-12)
+
+    def test_chord_through_zero_is_infinite(self):
+        assert _polyline_length([(1.0, 0.0, 0.0, 1.0), (-1.0, 0.0, 0.0, -1.0)], self.P) == math.inf
+
+    def test_descent_fingerprint(self):
+        # chord sum, angle and evaluation count of one descent, captured
+        # before the polyline became a single node list
+        theta_r = math.atan2(*polar_decompose(F_SHEAR).rotation[[1, 0], 0])
+        act = _path_activity(F_SHEAR, abs(theta_r))
+        prob = _PathProblem(P_FROB, deficit_cap=8.0 * (act / 12) ** 2 + 1e-3)
+        path = _interp_nodes(F_SHEAR, theta_r, 12)
+        val, theta, path, evals = prob.descend(
+            theta_r, path, True, step=0.1, min_step=3e-8, budget=20000
+        )
+        assert val == 0.68044604302078904
+        assert theta == -0.46462417150080626
+        assert evals == 20001
+        assert _polyline_length(path, P_FROB) >= DIST_SHEAR
 
 
 class TestUniquenessProbe:
