@@ -27,6 +27,7 @@ from .matcore import (
     polar_decompose,
     principal_log_spd,
     mat_exp,
+    stretch_spectrum,
     sym_part,
     deviatoric,
 )
@@ -333,17 +334,19 @@ def path_rows(mode: DeformationMode, model: MaterialModel) -> List[Tuple[float, 
 # ---------------------------------------------------------------------------
 
 def measure_payload(F: np.ndarray, p: MetricParams) -> dict:
-    pol = polar_decompose(F)
-    report = dist_squared_to_SO(F, p)
+    """Every field from one SVD F = A diag(s) B^T (geodesy's closed forms)."""
+    A, s, B = stretch_spectrum(F)
+    logs = np.log(s)
+    iso2, tr = log_invariants(logs.tolist())
     return {
-        "omega_iso": float(omega_iso(F)),
-        "omega_vol": float(omega_vol(F)),
-        "dist_squared_geod": float(report.squared_distance),
-        "dist_euclid": float(euclid_dist_to_SO(F).distance),
-        "rotation": pol.rotation.tolist(),
-        "right_stretch": pol.right_stretch.tolist(),
-        "left_stretch": pol.left_stretch.tolist(),
-        "log_right_stretch": principal_log_spd(pol.right_stretch).tolist(),
+        "omega_iso": math.sqrt(iso2),
+        "omega_vol": abs(tr),
+        "dist_squared_geod": p.mu * iso2 + 0.5 * p.kappa * tr * tr,
+        "dist_euclid": float(np.linalg.norm(s - 1.0)),
+        "rotation": (A @ B.T).tolist(),
+        "right_stretch": sym_part(B @ (s[:, None] * B.T)).tolist(),
+        "left_stretch": sym_part(A @ (s[:, None] * A.T)).tolist(),
+        "log_right_stretch": sym_part(B @ (logs[:, None] * B.T)).tolist(),
     }
 
 

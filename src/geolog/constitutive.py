@@ -158,11 +158,10 @@ def energy_from_logs(model: MaterialModel, logs: Sequence[float]) -> float:
     if model.kind == "hencky":
         return model.mu * iso2 + 0.5 * model.kappa * t * t
     if model.kind == "exp_hencky":
-        w = (model.mu / model.k) * math.exp(model.k * iso2)
-        w += (model.kappa / (2.0 * model.khat)) * math.exp(model.khat * t * t)
-        if model.normalized:
-            w -= model.mu / model.k + model.kappa / (2.0 * model.khat)
-        return w
+        # normalized, it vanishes at rest; expm1 keeps the digits exp - 1 cancels
+        grow = math.expm1 if model.normalized else math.exp
+        iso_part = model.mu * grow(model.k * iso2) / model.k
+        return iso_part + model.kappa * grow(model.khat * t * t) / (2.0 * model.khat)
     raise UnsupportedModelError(f"model kind {model.kind!r} has no energy in log stretches")
 
 

@@ -29,7 +29,8 @@ from geolog.cli import (
     run_fit,
 )
 from geolog.constitutive import MaterialModel, kirchhoff_stress
-from geolog.matcore import MetricParams
+from geolog.geodesy import dist_squared_to_SO, euclid_dist_to_SO, omega_iso, omega_vol
+from geolog.matcore import MetricParams, polar_decompose, principal_log_spd
 from geolog.oracle import OracleVerdict
 
 SHEAR = "[[1,1],[0,1]]"
@@ -45,14 +46,14 @@ FROZEN_PATHS = {
          "--from", "0.5", "--to", "2.5", "--steps", "5"],
         [
             "0.5,0.74435079560791617,0.72839606335954332,0.2952428557969885,"
-            "0.3967056490735037,-2.7275889734180039",
+            "0.39670564907350381,-2.7275889734180039",
             "1,1,0,0,0,0",
             "1.5,1.1490669612546998,0.43986509944611762,0.13895027502292545,"
-            "0.11915177262327115,0.41927229527921045",
+            "0.11915177262327116,0.41927229527921045",
             "2,1.3434525843198615,0.72839606335954332,0.2952428557969885,"
-            "0.3967056490735037,0.68189724335450097",
+            "0.39670564907350381,0.68189724335450097",
             "2.5,1.6035409449697378,0.92944170423909356,0.47221427457388948,"
-            "0.79539096630391182,0.90879124587888926",
+            "0.79539096630391171,0.90879124587888926",
         ],
     ),
     ("volumetric", "hencky"): (
@@ -68,6 +69,15 @@ FROZEN_PATHS = {
             "3,3.0000000000000004,0,1.0986122886681098,0.60347448040629104,0.36620409622270317",
         ],
     ),
+}
+# The uniaxial_free/exp_hencky energies above as they were before the
+# normalized exp-Hencky energy took expm1, keyed by control; each frozen
+# value may only have moved closer to a 50-digit evaluation.
+ENERGIES_BEFORE_EXPM1 = {
+    "0.5": 0.3967056490735037,
+    "1.5": 0.11915177262327115,
+    "2": 0.3967056490735037,
+    "2.5": 0.79539096630391182,
 }
 
 
@@ -175,6 +185,31 @@ class TestMeasure:
         U = np.array(payload["right_stretch"])
         assert np.allclose(R @ U, F, atol=1e-12)
         assert np.allclose(R.T @ R, np.eye(2), atol=1e-12)
+
+    def test_payload_matches_the_closed_forms(self):
+        # one SVD serves every field; each agrees with its own closed form,
+        # repeated singular values included
+        p = MetricParams(2.0, 1.0, 0.7)
+        rng = np.random.default_rng(17)
+        draws = [np.eye(3), np.diag([2.0, 2.0, 0.5]), 2.0 * np.eye(2)]
+        draws += [rng.uniform(-2.0, 2.0, (n, n)) for n in (2, 3) for _ in range(10)]
+        for F in (F for F in draws if np.linalg.det(F) > 0.05):
+            payload = measure_payload(F, p)
+            pol = polar_decompose(F)
+            expected = {
+                "omega_iso": omega_iso(F),
+                "omega_vol": omega_vol(F),
+                "dist_squared_geod": dist_squared_to_SO(F, p).squared_distance,
+                "dist_euclid": euclid_dist_to_SO(F).distance,
+                "rotation": pol.rotation,
+                "right_stretch": pol.right_stretch,
+                "left_stretch": pol.left_stretch,
+                "log_right_stretch": principal_log_spd(pol.right_stretch),
+            }
+            assert sorted(payload) == sorted(expected)
+            for key, want in expected.items():
+                got = np.asarray(payload[key])
+                assert np.max(np.abs(got - want)) <= 1e-14 * max(1.0, np.max(np.abs(want))), key
 
 
 class TestVerify:
@@ -367,6 +402,25 @@ class TestPath:
         code, out, _ = run_cli(["path", "--mode", mode, "--model", model] + flags, capsys)
         assert code == 0
         assert out.splitlines()[1:] == rows
+
+    def test_recaptured_energies_closer_to_mpmath(self):
+        mpmath = pytest.importorskip("mpmath")
+        mpmath.mp.dps = 50
+        model = MaterialModel(kind="exp_hencky", mu=0.5, kappa=1.5, k=0.8, khat=0.3, normalized=True)
+        _, rows = FROZEN_PATHS[("uniaxial_free", "exp_hencky")]
+        for row in rows:
+            fields = row.split(",")
+            if fields[0] not in ENERGIES_BEFORE_EXPM1:
+                continue
+            logs = [mpmath.mpf(l) for l in _mode_logs("uniaxial_free", float(fields[0]), model)]
+            t = sum(logs)
+            iso2 = sum((l - t / 3) ** 2 for l in logs)
+            exact = (
+                mpmath.mpf(0.5) / mpmath.mpf(0.8) * mpmath.expm1(mpmath.mpf(0.8) * iso2)
+                + mpmath.mpf(1.5) / (2 * mpmath.mpf(0.3)) * mpmath.expm1(mpmath.mpf(0.3) * t * t)
+            )
+            before = ENERGIES_BEFORE_EXPM1[fields[0]]
+            assert abs(float(fields[4]) - exact) <= abs(before - exact)
 
     def test_repeat_runs_bitwise_identical(self, capsys):
         args = ["path", "--mode", "uniaxial_free", "--model", "exp_hencky",

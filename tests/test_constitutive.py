@@ -25,6 +25,7 @@ from geolog.constitutive import (
     coaxial_lograte_check,
     criscione_invariants,
     energy,
+    energy_from_logs,
     first_piola_fd,
     hill_law,
     kirchhoff_stress,
@@ -113,6 +114,25 @@ class TestEnergy:
         assert energy(raw, np.eye(3)) == pytest.approx(2.0 / 0.5 + 3.0 / (2 * 0.25), abs=1e-12)
         norm = MaterialModel(kind="exp_hencky", mu=2.0, kappa=3.0, k=0.5, khat=0.25, normalized=True)
         assert energy(norm, np.eye(3)) == pytest.approx(0.0, abs=1e-12)
+
+    @pytest.mark.parametrize("l", [1e-3, 1e-5, 1e-7])
+    def test_normalized_exp_hencky_near_rest(self, l):
+        # (mu/k) e^{k iso^2} - mu/k cancels near rest; 6.4e-6 relative error
+        # at l = 1e-5 and 2.5% at l = 1e-7 before expm1
+        mpmath = pytest.importorskip("mpmath")
+        mpmath.mp.dps = 50
+        m = MaterialModel(kind="exp_hencky", mu=0.5, kappa=1.5, k=0.8, khat=0.3, normalized=True)
+        logs = [l, -0.3 * l, -0.3 * l]
+        exact_logs = [mpmath.mpf(x) for x in logs]
+        t = sum(exact_logs)
+        iso2 = sum((x - t / 3) ** 2 for x in exact_logs)
+        exact = (
+            mpmath.mpf(0.5) / mpmath.mpf(0.8) * mpmath.expm1(mpmath.mpf(0.8) * iso2)
+            + mpmath.mpf(1.5) / (2 * mpmath.mpf(0.3)) * mpmath.expm1(mpmath.mpf(0.3) * t * t)
+        )
+        assert abs(energy_from_logs(m, logs) - exact) <= 1e-15 * exact
+        # log(exp(l)) is off by up to about 1e-16 / l relative
+        assert energy(m, np.diag(np.exp(logs))) == pytest.approx(float(exact), rel=1e-8)
 
     def test_one_dimensional_section(self):
         # with kappa = 2 mu / 3 the trace term folds into the full norm and

@@ -24,9 +24,12 @@ from geolog.oracle import (
     logmin_oracle,
     substream,
     weighted_logmin_oracle,
-    _PathProblem,
     _interp_nodes,
+    _in_gl_plus,
+    _lbfgs,
     _path_activity,
+    _path_energy,
+    _path_objective,
     _polyline_length,
     _principal_logs,
     _random_rotations,
@@ -269,20 +272,84 @@ class TestPolylineLength:
     def test_chord_through_zero_is_infinite(self):
         assert _polyline_length([(1.0, 0.0, 0.0, 1.0), (-1.0, 0.0, 0.0, -1.0)], self.P) == math.inf
 
-    def test_descent_fingerprint(self):
-        # chord sum, angle and evaluation count of one descent, captured
-        # before the polyline became a single node list
-        theta_r = math.atan2(*polar_decompose(F_SHEAR).rotation[[1, 0], 0])
-        act = _path_activity(F_SHEAR, abs(theta_r))
-        prob = _PathProblem(P_FROB, deficit_cap=8.0 * (act / 12) ** 2 + 1e-3)
-        path = _interp_nodes(F_SHEAR, theta_r, 12)
-        val, theta, path, evals = prob.descend(
-            theta_r, path, True, step=0.1, min_step=3e-8, budget=20000
-        )
-        assert val == 0.68044604302078904
-        assert theta == -0.46462417150080626
-        assert evals == 20001
-        assert _polyline_length(path, P_FROB) >= DIST_SHEAR
+
+TRIPLES = [MetricParams(1.0, 1.0, 1.0), MetricParams(2.0, 1.0, 1.0), MetricParams(1.0, 3.0, 0.5)]
+F_PATH = np.array([[1.5, 1.2], [-0.7, 0.9]])
+# pinned at theta = 0, the descent to this near-half-turn has trial steps
+# that leave GL+
+F_HALF_TURN = np.array([[-1.8416284933431886, 0.11435705304008659],
+                        [-0.1626564684583851, -1.7506016834004976]])
+
+
+def central_differences(f, x, h=1e-6):
+    return np.array([(f(x + h * e) - f(x - h * e)) / (2.0 * h) for e in np.eye(x.size)])
+
+
+class TestPathEnergySearch:
+    @pytest.mark.parametrize("p", TRIPLES, ids=["frobenius", "mu2", "muc3"])
+    @pytest.mark.parametrize("pinned", [False, True], ids=["free", "pinned"])
+    def test_gradient_matches_central_differences(self, p, pinned):
+        theta0 = 0.2
+        X0 = _interp_nodes(F_PATH, theta0, 10)
+        x0, nodes_of, energy = _path_objective(X0, None if pinned else theta0, p)
+        x = x0 + 0.05 * np.random.default_rng(53).standard_normal(x0.size)
+        assert _in_gl_plus(nodes_of(x))
+        value, grad = energy(x)
+        numeric = central_differences(lambda y: energy(y)[0], x)
+        assert np.max(np.abs(numeric - grad)) <= 1e-8 * np.max(np.abs(grad))
+        assert value >= _polyline_length(nodes_of(x), p) ** 2  # Cauchy-Schwarz
+
+    def test_energy_gradient_in_three_dimensions(self):
+        rng = np.random.default_rng(59)
+        X = np.eye(3) + 0.1 * np.arange(7)[:, None, None] * rng.standard_normal((7, 3, 3)) / 7
+        value, grad = _path_energy(X, TRIPLES[2])
+        numeric = central_differences(
+            lambda y: _path_energy(y.reshape(X.shape), TRIPLES[2])[0], X.ravel()
+        ).reshape(X.shape)
+        assert np.max(np.abs(numeric - grad)) <= 1e-8 * np.max(np.abs(grad))
+
+    @pytest.mark.parametrize("half_turn", [False, True], ids=["free", "pinned-half-turn"])
+    def test_accepted_steps_descend_inside_gl_plus(self, half_turn):
+        if half_turn:
+            pol = polar_decompose(F_HALF_TURN)
+            theta_r = math.atan2(pol.rotation[1, 0], pol.rotation[0, 0])
+            X0 = oracle._two_phase_nodes(F_HALF_TURN, 0.0, theta_r, pol.right_stretch, 12)
+            x0, nodes_of, energy = _path_objective(X0, None, TRIPLES[2])
+        else:
+            x0, nodes_of, energy = _path_objective(_interp_nodes(F_PATH, 0.2, 12), 0.2, TRIPLES[2])
+        stats = {}
+        values = []
+        for x, value in _lbfgs(energy, x0, 20000, stats):
+            assert _in_gl_plus(nodes_of(x))
+            values.append(value)
+        assert all(b < a for a, b in zip(values, values[1:]))
+        assert len(values) == stats["iterations"] + 1
+        assert (stats["gl_halvings"] > 0) == half_turn
+
+    @pytest.mark.parametrize("pinned", [None, 0.0, 2.5])
+    def test_identical_calls_are_bit_identical(self, pinned):
+        cfg = OracleConfig(nodes=20, max_iters=200000)
+        a_len, a = _run_path_search(F_PATH, TRIPLES[2], cfg, pinned)
+        b_len, b = _run_path_search(F_PATH, TRIPLES[2], cfg, pinned)
+        assert a_len == b_len and a["theta"] == b["theta"]
+        assert {k: v for k, v in a.items() if k != "seconds"} == {
+            k: v for k, v in b.items() if k != "seconds"
+        }
+
+    def test_verdict_stats_bound_the_work(self):
+        for max_iters, stops in ((200000, {"converged", "iterations"}), (40, {"evaluations"})):
+            cfg = OracleConfig(nodes=24, max_iters=max_iters)
+            v = geodesic_distance_oracle(F_PATH, TRIPLES[1], cfg)
+            s = v.stats
+            assert s["iterations"] <= 300 and s["evaluations"] <= max_iters
+            assert s["stop"] in stops and s["start"] == "interp" and s["nodes"] == 24
+            assert s["seconds"] > 0.0
+            assert np.array_equal(v.witness, rot2(s["theta"]))
+            tag = "PASS" if v.passed else "FAIL"
+            assert str(v) == (
+                f"[{tag}] {v.claim}: closed_form={v.closed_form_value:.9g} "
+                f"oracle={v.oracle_value:.9g} gap={v.relative_gap:.3g}"
+            )
 
 
 class TestUniquenessProbe:
@@ -408,3 +475,18 @@ class TestStackedLogmin:
         exact = np.array([[math.log(2.0), 0.5], [0.0, math.log(2.0)]])
         assert np.allclose(logs[0], exact, rtol=0.0, atol=1e-12)
         assert np.allclose(logs[2], principal_log_spd(spd), rtol=0.0, atol=1e-13)
+
+
+def test_logmin_stats_count_samples_skips_and_fallbacks():
+    cfg = OracleConfig(seed=41, samples=400)
+    v = logmin_oracle(F_SHEAR, cfg)
+    Q = [polar_decompose(F_SHEAR).rotation, *_random_rotations(substream(41, 0), 2, 400)]
+    skipped = sum(
+        any(abs(l.imag) <= 1e-12 * max(1.0, abs(l)) and l.real <= 0.0 for l in np.linalg.eigvals(q.T @ F_SHEAR))
+        for q in Q
+    )
+    assert skipped > 0
+    assert v.stats == {"samples": 400, "skipped": skipped, "logm_fallbacks": 0}
+    stats = {}
+    _principal_logs(np.stack([np.array([[2.0, 1.0], [0.0, 2.0]]), np.eye(2)]), stats)
+    assert stats == {"logm_fallbacks": 1}
