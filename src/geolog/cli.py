@@ -15,7 +15,7 @@ import argparse
 import json
 import math
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, List, Optional, Sequence, TextIO, Tuple
 
 import numpy as np
@@ -89,6 +89,7 @@ SUITES = (
     "exp-hencky-rank-one",
 )
 CSV_HEADER = "control,detF,omega_iso,omega_vol,energy,stress"
+_EPS = sys.float_info.epsilon
 
 
 class UsageError(ValueError):
@@ -173,16 +174,72 @@ class FitProblem:
 
 
 @dataclass(frozen=True)
+class FitStart:
+    """One Levenberg-Marquardt run of a fit, from one start in log-parameter space."""
+
+    start: Tuple[float, ...]
+    cost: float  # final sum of squared residuals
+    evaluations: int  # residual evaluations, Jacobian columns included
+    stop: str  # "converged", "evaluations" (the budget ran out) or "infeasible" (at the start)
+
+
+@dataclass(frozen=True)
 class FitResult:
     model: MaterialModel
     rms: float
     residuals: Tuple[float, ...]
     converged: bool
+    starts: Tuple[FitStart, ...] = field(default=(), compare=False)
 
 
 # ---------------------------------------------------------------------------
 # scalar engine for diagonal deformation families
 # ---------------------------------------------------------------------------
+
+def _lateral_newton(model: MaterialModel, l_ax: float, lo: float, hi: float) -> Tuple[float, float]:
+    """Root of the lateral stress in [lo, hi] by safeguarded Newton, and a band around it.
+
+    At logs (l, x, x) the lateral stress is iso + vol with
+    iso = (2 mu / 3) e^a (x - l), a = (2/3) k (x - l)^2, and
+    vol = kappa e^b t, b = khat t^2, t = l + 2x (a = b = 0 for Hencky).  Its
+    slope (2 mu / 3) e^a (1 + 2a) + 2 kappa e^b (1 + 2b) never falls below
+    2 mu / 3 + 2 kappa, so outside the returned band, which holds 1e-10 and a
+    bound on the rounding error of the computed stress 32 times over at that
+    slope, the stress's sign is that of x - root.  The band is infinite when
+    Newton meets a non-finite value or does not settle.
+    """
+    mu, kappa = model.mu, model.kappa
+    k, khat = (model.k, model.khat) if model.kind == "exp_hencky" else (0.0, 0.0)
+    min_slope = 2.0 * mu / 3.0 + 2.0 * kappa
+    nu = (3.0 * kappa - 2.0 * mu) / (2.0 * (3.0 * kappa + mu))
+    x = min(max(-nu * l_ax, lo), hi)  # the Hencky root
+    step_before = hi - lo
+    for _ in range(100):
+        y, t = x - l_ax, l_ax + 2.0 * x
+        a, b = k * (2.0 / 3.0) * y * y, khat * t * t
+        iso = (2.0 * mu / 3.0) * math.exp(a) * y
+        vol = kappa * math.exp(b) * t
+        f = iso + vol
+        slope = (2.0 * mu / 3.0) * math.exp(a) * (1.0 + 2.0 * a) \
+            + 2.0 * kappa * math.exp(b) * (1.0 + 2.0 * b)
+        noise = 4.0 * _EPS * ((abs(iso) + abs(vol)) * (1.0 + a + b)
+                              + slope * (abs(l_ax) + 2.0 * abs(x)))
+        band = 32.0 * (1e-10 + noise) / min_slope
+        if not (math.isfinite(f) and math.isfinite(slope) and math.isfinite(band)):
+            break
+        if abs(f) <= min_slope * band / 64.0:  # so the root is within band / 20 of x
+            return x, band
+        if f > 0.0:
+            hi = x
+        else:
+            lo = x
+        step = f / slope
+        if not lo < x - step < hi or abs(step) > 0.5 * step_before:
+            step = x - 0.5 * (lo + hi)  # bisect when Newton leaves the bracket or stalls
+        step_before = abs(step)
+        x -= step
+    return x, math.inf
+
 
 def _lateral_log_free(model: MaterialModel, l_ax: float) -> float:
     """Lateral log stretch with zero lateral stress, by bisection.
@@ -190,6 +247,10 @@ def _lateral_log_free(model: MaterialModel, l_ax: float) -> float:
     The lateral principal Kirchhoff stress is strictly increasing in the
     lateral log stretch, so a sign-changing bracket always exists; bisection
     runs down to 1e-10 on the stress as required for the free uniaxial mode.
+    A Newton solve finds the root first, and the bisection is then replayed
+    step for step, evaluating the stress only within `_lateral_newton`'s band
+    around the root and taking the sign from monotonicity elsewhere: the
+    result is the plain bisection's to the bit, with far fewer evaluations.
     """
 
     def lateral_stress(x: float) -> float:
@@ -209,12 +270,17 @@ def _lateral_log_free(model: MaterialModel, l_ax: float) -> float:
                 "no bracket for the lateral zero-stress condition",
                 FitResult(model, math.inf, (), False),
             )
+    root, band = _lateral_newton(model, l_ax, lo, hi)
     for _ in range(200):
         mid = 0.5 * (lo + hi)
-        fm = lateral_stress(mid)
-        if abs(fm) <= 1e-10:
-            return mid
-        if fm > 0.0:
+        if abs(mid - root) <= band:
+            fm = lateral_stress(mid)
+            if abs(fm) <= 1e-10:
+                return mid
+            above = fm > 0.0
+        else:
+            above = mid > root
+        if above:
             hi = mid
         else:
             lo = mid
@@ -714,6 +780,73 @@ def predict_stresses(
     return out
 
 
+def _levenberg_marquardt(
+    residuals: Callable[[np.ndarray], Optional[np.ndarray]], start: np.ndarray, budget: int
+) -> Tuple[np.ndarray, FitStart]:
+    """Minimize |residuals(u)|^2 from `start` within `budget` residual evaluations.
+
+    Marquardt's method with Moré's scaling: each step solves
+    min |[J; sqrt(lam) D] s + [r; 0]| by least squares, where J is a
+    forward-difference Jacobian and D holds the largest column norms of J met
+    so far, so a flat direction leaves the system well posed.  lam follows the
+    ratio of the actual to the linearly predicted decrease (Nielsen's update)
+    and grows 2, 4, 8, ... fold while trial steps fail.  The run converges
+    when lam passes 1e10 without a lower cost, or when a step lowers the cost
+    by at most the noise floor: 1e-12 of the cost, or (1e-10)^2 per residual,
+    since the free uniaxial mode's lateral solve resolves stresses to 1e-10.
+    `residuals` returns None where the model cannot be evaluated.
+    """
+    u = np.array(start, dtype=float)
+    r = residuals(u)
+    evaluations = 1
+
+    def record(cost: float, stop: str) -> Tuple[np.ndarray, FitStart]:
+        return u, FitStart(tuple(float(v) for v in start), cost, evaluations, stop)
+
+    if r is None:
+        return record(math.inf, "infeasible")
+    cost = float(r @ r)
+    lam, grow = 1e-3, 2.0
+    scale = np.zeros(u.size)
+    J = None
+    while cost > 0.0:
+        if J is None:
+            if evaluations + u.size >= budget:
+                return record(cost, "evaluations")
+            J = np.zeros((r.size, u.size))
+            for j in range(u.size):
+                h = 1e-5 * max(1.0, abs(u[j]))
+                shifted = u.copy()
+                shifted[j] += h
+                rj = residuals(shifted)
+                evaluations += 1
+                if rj is not None:
+                    J[:, j] = (rj - r) / h
+            scale = np.maximum(scale, np.linalg.norm(J, axis=0))
+        if lam > 1e10:
+            return record(cost, "converged")
+        if evaluations >= budget:
+            return record(cost, "evaluations")
+        A = np.vstack([J, math.sqrt(lam) * np.diag(scale)])
+        step = np.linalg.lstsq(A, np.concatenate([-r, np.zeros(u.size)]), rcond=None)[0]
+        trial = residuals(u + step)
+        evaluations += 1
+        new_cost = math.inf if trial is None else float(trial @ trial)
+        if not new_cost < cost:
+            lam *= grow
+            grow *= 2.0
+            continue
+        linear = r + J @ step
+        gain = min((cost - new_cost) / max(cost - float(linear @ linear), 1e-300), 1.0)
+        lam = max(lam * max(1.0 / 3.0, 1.0 - (2.0 * gain - 1.0) ** 3), 1e-12)
+        grow = 2.0
+        decrease = cost - new_cost
+        u, r, cost, J = u + step, trial, new_cost, None
+        if decrease <= max(1e-12 * (cost + decrease), r.size * 1e-20):
+            break
+    return record(cost, "converged")
+
+
 def run_fit(problem: FitProblem) -> FitResult:
     if problem.model_kind not in _FREE_PARAMETERS:
         raise UnsupportedCombinationError(
@@ -721,15 +854,15 @@ def run_fit(problem: FitProblem) -> FitResult:
         )
     data = np.asarray(problem.stresses, dtype=float)
 
-    def loss(u: np.ndarray) -> float:
+    def misfit(u: np.ndarray) -> Optional[np.ndarray]:
         try:
             model = _build_model(problem.model_kind, u)
             pred = predict_stresses(model, problem.mode_kind, problem.stress_kind,
                                     problem.controls)
-        except (OverflowError, NonConvergenceError):
-            return 1e30
+        except (OverflowError, NonConvergenceError, ParameterOutOfRangeError):
+            return None
         r = np.asarray(pred) - data
-        return float(r @ r)
+        return r if np.all(np.isfinite(r)) else None
 
     ndim = len(_FREE_PARAMETERS[problem.model_kind])
     base = np.zeros(ndim)
@@ -741,35 +874,24 @@ def run_fit(problem: FitProblem) -> FitResult:
     for _ in range(4):
         starts.append(base + 0.7 * rng.standard_normal(ndim))
 
-    # imported here so the other subcommands start without scipy
-    import scipy.optimize
-
-    best = None
-    any_success = False
-    for start in starts:
-        res = scipy.optimize.minimize(
-            loss,
-            start,
-            method="Nelder-Mead",
-            options={
-                "maxiter": problem.max_iters,
-                "maxfev": problem.max_iters,
-                "xatol": 1e-12,
-                "fatol": 1e-16,
-            },
-        )
-        any_success = any_success or bool(res.success)
-        if best is None or res.fun < best.fun:
-            best = res
-    assert best is not None
-    model = _build_model(problem.model_kind, best.x)
+    runs = [_levenberg_marquardt(misfit, start, problem.max_iters) for start in starts]
+    best_u, _ = min(runs, key=lambda run: run[1].cost)
+    records = tuple(record for _, record in runs)
+    any_success = any(record.stop == "converged" for record in records)
+    model = _build_model(problem.model_kind, best_u)
     pred = predict_stresses(model, problem.mode_kind, problem.stress_kind, problem.controls)
     residuals = tuple(float(a - b) for a, b in zip(pred, problem.stresses))
     rms = math.sqrt(sum(r * r for r in residuals) / len(residuals))
-    result = FitResult(model=model, rms=rms, residuals=residuals, converged=any_success)
+    result = FitResult(model=model, rms=rms, residuals=residuals,
+                       converged=any_success, starts=records)
     if not any_success:
+        spent = "; ".join(
+            f"start {i}: cost {_format_scalar(record.cost)} after {record.evaluations} evaluations"
+            for i, record in enumerate(records)
+        )
         raise NonConvergenceError(
-            f"no descent start converged within {problem.max_iters} iterations", result
+            f"no start converged within {problem.max_iters} residual evaluations ({spent})",
+            result,
         )
     return result
 
@@ -861,7 +983,8 @@ def _build_parser() -> _Parser:
     f.add_argument("--mode", required=True, choices=MODE_KINDS)
     f.add_argument("--stress", required=True, choices=STRESS_KINDS)
     f.add_argument("--seed", type=int, default=0)
-    f.add_argument("--max-iters", type=int, default=20000)
+    f.add_argument("--max-iters", type=int, default=20000,
+                   help="residual evaluations per Levenberg-Marquardt start")
     return parser
 
 

@@ -1,5 +1,6 @@
 """End-to-end tests of the command-line front end."""
 
+import dataclasses
 import json
 import math
 import re
@@ -16,7 +17,9 @@ from geolog.cli import (
     SUITES,
     DeformationMode,
     FitProblem,
+    FitResult,
     InsufficientDataError,
+    NonConvergenceError,
     UsageError,
     _diag_stress_scalar,
     _lateral_log_free,
@@ -477,6 +480,79 @@ class TestScalarEngine:
             tau = _principal_kirchhoff(model, (l, x, x))
             assert abs(tau[1]) <= 1e-10
 
+    @staticmethod
+    def plain_bisection(model, l_ax):
+        """The lateral solve as a plain bisection that evaluates every midpoint."""
+
+        def lateral_stress(x: float) -> float:
+            return _principal_kirchhoff(model, (l_ax, x, x))[1]
+
+        half = max(2.0, 2.0 * abs(l_ax) + 1.0)
+        lo, hi = -half, half
+        flo, fhi = lateral_stress(lo), lateral_stress(hi)
+        grow = 0
+        while flo > 0.0 or fhi < 0.0:
+            lo *= 2.0
+            hi *= 2.0
+            flo, fhi = lateral_stress(lo), lateral_stress(hi)
+            grow += 1
+            if grow > 20:
+                raise NonConvergenceError(
+                    "no bracket for the lateral zero-stress condition",
+                    FitResult(model, math.inf, (), False),
+                )
+        for _ in range(200):
+            mid = 0.5 * (lo + hi)
+            fm = lateral_stress(mid)
+            if abs(fm) <= 1e-10:
+                return mid
+            if fm > 0.0:
+                hi = mid
+            else:
+                lo = mid
+            if hi - lo < 1e-15:
+                break
+        return 0.5 * (lo + hi)
+
+    def test_lateral_solve_replays_the_plain_bisection(self):
+        def outcome(solve, model, l_ax):
+            try:
+                return solve(model, l_ax)
+            except (OverflowError, NonConvergenceError) as exc:
+                return type(exc).__name__
+
+        models = [MaterialModel(kind="hencky", mu=mu, kappa=kappa)
+                  for mu, kappa in ((0.4, 2.0), (1.1, 2.3), (3.0, 0.05), (0.02, 5.0))]
+        # khat of 10 to 20 spans the stress over 1e+-280 across the first bracket
+        models += [MaterialModel(kind="exp_hencky", mu=mu, kappa=kappa, k=k, khat=khat)
+                   for mu, kappa in ((0.5, 1.5), (0.26, 0.007), (2.0, 0.3))
+                   for k in (0.25, 0.8, 3.0)
+                   for khat in (0.125, 0.3, 2.0, 10.0, 15.0, 20.0)]
+        # a steep exp wall, where Newton steps are short while the root is still far
+        models.append(MaterialModel(kind="exp_hencky", mu=0.2646020700936088,
+                                    kappa=0.006926974297919134, k=0.2768997662553889,
+                                    khat=16.69291964793116))
+        controls = list(np.linspace(0.3, 3.0, 28)) + [1.0, 1.4503497620566803]
+        outcomes = set()
+        for model in models:
+            for control in controls:
+                l = math.log(control)
+                expected = outcome(self.plain_bisection, model, l)
+                assert outcome(_lateral_log_free, model, l) == expected, (model, control)
+                outcomes.add(type(expected))
+        assert outcomes == {float, str}
+
+    def test_lateral_solve_matches_hencky_poisson_ratio(self):
+        # the Hencky lateral log stretch is -nu l; the solve stops once the
+        # lateral stress, of slope 2 mu / 3 + 2 kappa, is within 1e-10 of zero
+        for mu, kappa in ((0.4, 2.0), (1.1, 2.3), (3.0, 0.05), (0.02, 5.0)):
+            model = MaterialModel(kind="hencky", mu=mu, kappa=kappa)
+            nu = (3.0 * kappa - 2.0 * mu) / (2.0 * (3.0 * kappa + mu))
+            window = (1e-10 + 1e-14) / (2.0 * mu / 3.0 + 2.0 * kappa)
+            for control in np.linspace(0.3, 3.0, 10):
+                l = math.log(control)
+                assert abs(_lateral_log_free(model, l) + nu * l) <= window
+
     def test_free_mode_biot_equals_plain_axial(self):
         model = MaterialModel(kind="hencky", mu=1.0, kappa=1.0)
         logs = _mode_logs("uniaxial_free", 1.7, model)
@@ -521,6 +597,61 @@ class TestFit:
         _, out1, _ = run_cli(args, capsys)
         _, out2, _ = run_cli(args, capsys)
         assert out1 == out2
+
+    def test_tiny_budget_exits_4_with_best_rms(self, tmp_path, capsys):
+        truth = MaterialModel(kind="hencky", mu=0.4, kappa=2.0)
+        controls = [0.5 + 0.2 * i for i in range(10)]
+        f = self.make_csv(tmp_path, controls,
+                          predict_stresses(truth, "uniaxial_free", "cauchy", controls))
+        code, out, err = run_cli(
+            ["fit", "--data", str(f), "--model", "hencky", "--mode", "uniaxial_free",
+             "--stress", "cauchy", "--max-iters", "8"], capsys
+        )
+        assert code == 4
+        assert out == ""
+        assert "within 8 residual evaluations" in err
+        assert all(f"start {i}: cost " in err for i in range(5))
+        assert re.search(r"^best-so-far rms = \S+$", err, re.M)
+
+    def test_each_start_is_recorded(self):
+        truth = MaterialModel(kind="exp_hencky", mu=0.5, kappa=1.5, k=0.8, khat=0.3)
+        controls = tuple(0.45 + 0.195 * i for i in range(12))
+        problem = FitProblem(
+            controls=controls,
+            stresses=tuple(predict_stresses(truth, "uniaxial_free", "cauchy", controls)),
+            mode_kind="uniaxial_free", stress_kind="cauchy", model_kind="exp_hencky",
+            free_parameters=("mu", "kappa", "k", "khat"), seed=114, max_iters=400,
+        )
+        result = run_fit(problem)
+        assert len(result.starts) == 5
+        assert result.starts[0].start == (0.0, 0.0, math.log(0.3), math.log(0.25))
+        for start in result.starts:
+            assert start.stop in ("converged", "evaluations")
+            assert 1 <= start.evaluations <= problem.max_iters
+        best = min(start.cost for start in result.starts)
+        assert best == pytest.approx(sum(r * r for r in result.residuals), rel=1e-12)
+        assert result.converged == any(s.stop == "converged" for s in result.starts)
+        assert dataclasses.replace(result, starts=()) == result
+
+    @pytest.mark.parametrize("mode, stress, controls", [
+        ("simple_shear", "kirchhoff", [-0.8 + 0.2 * i for i in range(9)]),
+        ("volumetric", "cauchy", [0.6 + 0.15 * i for i in range(9)]),
+        ("equibiaxial_incompressible", "biot", [0.7 + 0.1 * i for i in range(9)]),
+        ("uniaxial_incompressible", "cauchy", [0.6 + 0.2 * i for i in range(9)]),
+        # its steps gain far more than the linear model predicts
+        ("uniaxial_free", "kirchhoff", [0.6 + 0.2 * i for i in range(9)]),
+    ])
+    def test_exp_hencky_fits_every_mode(self, mode, stress, controls):
+        truth = MaterialModel(kind="exp_hencky", mu=0.7, kappa=3.0, k=1.2, khat=0.6)
+        problem = FitProblem(
+            controls=tuple(controls),
+            stresses=tuple(predict_stresses(truth, mode, stress, controls)),
+            mode_kind=mode, stress_kind=stress, model_kind="exp_hencky",
+            free_parameters=("mu", "kappa", "k", "khat"), seed=5,
+        )
+        result = run_fit(problem)
+        assert result.converged
+        assert result.rms < 1e-9
 
     def test_three_points_insufficient(self, tmp_path, capsys):
         f = self.make_csv(tmp_path, [1.0, 1.2, 1.4], [0.1, 0.2, 0.3])
@@ -606,6 +737,24 @@ class TestEntryPoint:
         )
         assert proc.returncode == 0
         assert proc.stdout.strip() == "False"
+
+    def test_fit_leaves_scipy_unloaded(self, tmp_path):
+        truth = MaterialModel(kind="hencky", mu=0.4, kappa=2.0)
+        controls = [0.5 + 0.2 * i for i in range(6)]
+        stresses = predict_stresses(truth, "uniaxial_free", "cauchy", controls)
+        data = tmp_path / "data.csv"
+        data.write_text("control,stress\n" + "".join(
+            f"{c!r},{s!r}\n" for c, s in zip(controls, stresses)))
+        script = (
+            "import sys\n"
+            "from geolog.cli import main\n"
+            f"code = main(['fit', '--data', {str(data)!r}, '--model', 'hencky', "
+            "'--mode', 'uniaxial_free', '--stress', 'cauchy'])\n"
+            "print(code, 'scipy' in sys.modules)\n"
+        )
+        proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
+        assert proc.returncode == 0
+        assert proc.stdout.splitlines()[-1] == "0 False"
 
     def test_package_main(self):
         proc = subprocess.run(
