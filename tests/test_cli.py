@@ -523,7 +523,7 @@ class TestScalarEngine:
 
         models = [MaterialModel(kind="hencky", mu=mu, kappa=kappa)
                   for mu, kappa in ((0.4, 2.0), (1.1, 2.3), (3.0, 0.05), (0.02, 5.0))]
-        # khat of 10 to 20 spans the stress over 1e+-280 across the first bracket
+        # khat of 10 to 20 drives the stress up to about 1e307 at the first bracket's ends
         models += [MaterialModel(kind="exp_hencky", mu=mu, kappa=kappa, k=k, khat=khat)
                    for mu, kappa in ((0.5, 1.5), (0.26, 0.007), (2.0, 0.3))
                    for k in (0.25, 0.8, 3.0)
