@@ -5,7 +5,8 @@ matrix, `verify` runs the brute-force verification suites, `path` tabulates
 deformation paths as CSV, and `fit` recovers material parameters from
 stress-control data.
 
-Exit codes: 0 success, 1 usage error, 2 invalid matrix or data, 3 unsupported
+Exit codes: 0 success, 1 usage error, 2 invalid matrix or data or a float
+overflow (say, of exp-Hencky's exponentials in a `path` or `fit`), 3 unsupported
 model/mode combination, 4 non-convergence, 5 a `verify` claim failed.
 """
 
@@ -15,7 +16,7 @@ import argparse
 import json
 import math
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Callable, List, Optional, Sequence, TextIO, Tuple
 
 import numpy as np
@@ -473,15 +474,11 @@ def _auto_nodes(F: np.ndarray) -> int:
 
 
 def _suite_grioli(dim: int, cfg: OracleConfig) -> List[OracleVerdict]:
-    claims = [grioli_oracle(np.eye(dim), cfg)]
     spd = np.diag([2.0, 0.5, 1.3][:dim]) + 0.1 * (np.ones((dim, dim)) - np.eye(dim))
-    claims.append(grioli_oracle(spd, cfg))
-    if dim == 2:
-        claims.append(grioli_oracle(np.array([[1.0, 1.0], [0.0, 1.0]]), cfg))
+    fixed = [np.eye(dim), spd] + ([np.array([[1.0, 1.0], [0.0, 1.0]])] if dim == 2 else [])
     rng = substream(cfg.seed, 1)
-    for _ in range(cfg.samples):
-        claims.append(grioli_oracle(_random_gl(rng, dim), cfg))
-    return claims
+    draws = [_random_gl(rng, dim) for _ in range(cfg.samples)]
+    return [grioli_oracle(F, cfg) for F in fixed + draws]
 
 
 def _suite_geodesic(
@@ -491,29 +488,15 @@ def _suite_geodesic(
         raise UnsupportedCombinationError(
             "the geodesic-distance suite runs planar searches only (--dim 2)"
         )
-    fixed = [
-        np.eye(2),
-        np.diag([math.e, 1.0 / math.e]),
-        np.array([[1.0, 1.0], [0.0, 1.0]]),
-    ]
-    claims = []
-
-    def run(F: np.ndarray) -> OracleVerdict:
-        local = OracleConfig(
-            seed=cfg.seed, samples=cfg.samples,
-            nodes=nodes_override if nodes_override else _auto_nodes(F),
-            tol=cfg.tol, max_iters=cfg.max_iters,
-        )
-        return geodesic_distance_oracle(F, p, local)
-
-    for F in fixed:
-        claims.append(run(F))
+    fixed = [np.eye(2), np.diag([math.e, 1.0 / math.e]), np.array([[1.0, 1.0], [0.0, 1.0]])]
     rng = substream(cfg.seed, 2)
     # random draws are capped: each one is a full path optimization
-    for _ in range(min(cfg.samples, 20)):
-        claims.append(run(_random_gl(rng, 2)))
-    probe_cfg = OracleConfig(seed=cfg.seed, samples=4, nodes=14,
-                             tol=cfg.tol, max_iters=cfg.max_iters)
+    draws = [_random_gl(rng, 2) for _ in range(min(cfg.samples, 20))]
+    claims = [
+        geodesic_distance_oracle(F, p, replace(cfg, nodes=nodes_override or _auto_nodes(F)))
+        for F in fixed + draws
+    ]
+    probe_cfg = replace(cfg, samples=4, nodes=14)
     claims.append(best_approx_uniqueness_probe(fixed[2], p, probe_cfg))
     return claims
 
@@ -524,8 +507,7 @@ def _suite_logmin(dim: int, cfg: OracleConfig) -> List[OracleVerdict]:
     claims = []
     for _ in range(6):
         F = _random_gl(rng, dim)
-        claims.append(logmin_oracle(F, cfg))
-        claims.append(weighted_logmin_oracle(F, weighted_p, cfg))
+        claims += [logmin_oracle(F, cfg), weighted_logmin_oracle(F, weighted_p, cfg)]
     return claims
 
 
@@ -870,9 +852,7 @@ def run_fit(problem: FitProblem) -> FitResult:
         base[2] = math.log(0.3)
         base[3] = math.log(0.25)
     rng = substream(problem.seed, 0)
-    starts = [base]
-    for _ in range(4):
-        starts.append(base + 0.7 * rng.standard_normal(ndim))
+    starts = [base] + [base + 0.7 * rng.standard_normal(ndim) for _ in range(4)]
 
     runs = [_levenberg_marquardt(misfit, start, problem.max_iters) for start in starts]
     best_u, _ = min(runs, key=lambda run: run[1].cost)
@@ -1073,6 +1053,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return EXIT_USAGE
     except (InvalidInputError, NonPositiveDeterminantError) as exc:
         print(f"invalid input: {exc}", file=sys.stderr)
+        return EXIT_BAD_INPUT
+    except OverflowError as exc:
+        print(f"invalid input: floating-point overflow ({exc})", file=sys.stderr)
         return EXIT_BAD_INPUT
     except UnsupportedCombinationError as exc:
         print(f"unsupported combination: {exc}", file=sys.stderr)

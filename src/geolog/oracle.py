@@ -11,6 +11,13 @@ All randomness is drawn from counter-derived Philox substreams, so a verdict
 is a pure function of the inputs and the config (bitwise, independent of how
 the evaluation might be scheduled); reductions always run in sample order.
 Only the wall time in a verdict's stats varies from run to run.
+
+Inner loops avoid numpy calls on tiny matrices, whose dispatch cost dwarfs
+their arithmetic. The path kernels hold matrix stacks entry-major, shape
+(n, n, ...) with the long axes last, so for any n each numpy call works on
+vectors of N x 16 entries: a product is one broadcast multiply and a sum
+over a length-n axis, a 2x2 inverse the adjugate. The spatial rotation
+search evaluates its misfit in Python floats.
 """
 
 from __future__ import annotations
@@ -63,16 +70,12 @@ class OracleConfig:
     max_iters: int = 60000
 
     def __post_init__(self) -> None:
-        if int(self.seed) != self.seed or self.seed < 0:
-            raise ValueError("seed must be a nonnegative integer")
-        if int(self.samples) != self.samples or self.samples < 1:
-            raise ValueError("samples must be a positive integer")
-        if int(self.nodes) != self.nodes or self.nodes < 4:
-            raise ValueError("nodes must be an integer >= 4")
+        for name, low in (("seed", 0), ("samples", 1), ("nodes", 4), ("max_iters", 1)):
+            value = getattr(self, name)
+            if int(value) != value or value < low:
+                raise ValueError(f"{name} must be an integer >= {low}")
         if not (self.tol > 0.0):
             raise ValueError("tol must be positive")
-        if int(self.max_iters) != self.max_iters or self.max_iters < 1:
-            raise ValueError("max_iters must be a positive integer")
 
 
 @dataclass(frozen=True)
@@ -111,19 +114,42 @@ def _rot2(theta: float) -> np.ndarray:
     return np.array([[c, -s], [s, c]])
 
 
-def _rot3_axis_angle(w: Sequence[float]) -> np.ndarray:
-    """Rotation exp([w]_x) by the Rodrigues formula (series near zero)."""
+def _rot3_rows(w: Sequence[float]) -> Tuple[Tuple[float, float, float], ...]:
+    """Rows of exp([w]_x) = id + a K + b K^2 in Python floats, K = [w]_x and
+    K^2 = w w^T - theta^2 id (Rodrigues; series near zero)."""
     wx, wy, wz = float(w[0]), float(w[1]), float(w[2])
     theta2 = wx * wx + wy * wy + wz * wz
     theta = math.sqrt(theta2)
     if theta < 1e-8:
-        a = 1.0 - theta2 / 6.0
-        b = 0.5 - theta2 / 24.0
+        a, b = 1.0 - theta2 / 6.0, 0.5 - theta2 / 24.0
     else:
-        a = math.sin(theta) / theta
-        b = (1.0 - math.cos(theta)) / theta2
-    K = np.array([[0.0, -wz, wy], [wz, 0.0, -wx], [-wy, wx, 0.0]])
-    return np.eye(3) + a * K + b * (K @ K)
+        a, b = math.sin(theta) / theta, (1.0 - math.cos(theta)) / theta2
+    c, bx, by, bz = 1.0 - b * theta2, b * wx, b * wy, b * wz
+    return ((c + bx * wx, bx * wy - a * wz, bx * wz + a * wy),
+            (bx * wy + a * wz, c + by * wy, by * wz - a * wx),
+            (bx * wz - a * wy, by * wz + a * wx, c + bz * wz))
+
+
+def _rot3_axis_angle(w: Sequence[float]) -> np.ndarray:
+    return np.array(_rot3_rows(w))
+
+
+def _rotation_misfit3(F: np.ndarray) -> Callable[[Sequence[float]], float]:
+    """w -> ||exp([w]_x)^T F - id|| for a 3x3 F, entry by entry in Python floats
+    (the trace form ||F||^2 - 2 tr(Q^T F) + 3 cancels near a rotation)."""
+    (f00, f01, f02), (f10, f11, f12), (f20, f21, f22) = F.tolist()
+
+    def g3(w: Sequence[float]) -> float:
+        (q00, q01, q02), (q10, q11, q12), (q20, q21, q22) = _rot3_rows(w)
+        return math.hypot(
+            q00 * f00 + q10 * f10 + q20 * f20 - 1.0, q00 * f01 + q10 * f11 + q20 * f21,
+            q00 * f02 + q10 * f12 + q20 * f22, q01 * f00 + q11 * f10 + q21 * f20,
+            q01 * f01 + q11 * f11 + q21 * f21 - 1.0, q01 * f02 + q11 * f12 + q21 * f22,
+            q02 * f00 + q12 * f10 + q22 * f20, q02 * f01 + q12 * f11 + q22 * f21,
+            q02 * f02 + q12 * f12 + q22 * f22 - 1.0,
+        )
+
+    return g3
 
 
 def _random_rotations(rng: np.random.Generator, n: int, count: int) -> np.ndarray:
@@ -157,8 +183,7 @@ def _kronecker_ball_starts(count: int) -> List[np.ndarray]:
     """
     g = 1.2207440846057595
     alphas = (1.0 / g, 1.0 / g ** 2, 1.0 / g ** 3)
-    starts = []
-    u = [0.5, 0.5, 0.5]
+    starts, u = [], [0.5, 0.5, 0.5]
     for _ in range(count):
         u = [(x + a) % 1.0 for x, a in zip(u, alphas)]
         z = 2.0 * u[0] - 1.0
@@ -171,12 +196,14 @@ def _kronecker_ball_starts(count: int) -> List[np.ndarray]:
 
 def _golden_min(
     f: Callable[[float], float], a: float, b: float, tol: float = 1e-12
-) -> Tuple[float, float]:
+) -> Tuple[float, float, int]:
     invphi = (math.sqrt(5.0) - 1.0) / 2.0
     c = b - invphi * (b - a)
     d = a + invphi * (b - a)
     fc, fd = f(c), f(d)
+    evals = 3  # these two and the last one
     while b - a > tol:
+        evals += 1
         if fc < fd:
             b, d, fd = d, c, fc
             c = b - invphi * (b - a)
@@ -186,20 +213,15 @@ def _golden_min(
             d = a + invphi * (b - a)
             fd = f(d)
     x = 0.5 * (a + b)
-    return x, f(x)
+    return x, f(x), evals
 
 
 def _compass_min(
-    f: Callable[[np.ndarray], float],
-    x0: np.ndarray,
-    step: float,
-    min_step: float,
-    budget: int,
+    f: Callable[[np.ndarray], float], x0: np.ndarray, step: float, min_step: float, budget: int
 ) -> Tuple[np.ndarray, float, int]:
     """Coordinate pattern search; returns (argmin, value, evals used)."""
     x = np.array(x0, dtype=float)
-    fx = f(x)
-    evals = 1
+    fx, evals = f(x), 1
     while step > min_step and evals < budget:
         improved = False
         for i in range(x.size):
@@ -237,8 +259,11 @@ def grioli_oracle(F: Mat, cfg: OracleConfig) -> OracleVerdict:
     Planar inputs get a coarse angle scan refined by golden section; spatial
     inputs get multi-start compass descent in axis-angle coordinates. The
     verdict passes when the search never beats the polar closed form by more
-    than cfg.tol and the best rotation lands on the polar factor.
+    than cfg.tol and the best rotation lands on the polar factor. Its stats
+    give the starts (one scan, or 20 descents, the best 3 refined), the
+    objective evaluations of the coarse and the fine stage, and the seconds.
     """
+    t_start = time.perf_counter()
     F = as_square(np.asarray(F, dtype=float), "F")
     n = F.shape[0]
     if n not in (2, 3):
@@ -252,31 +277,23 @@ def grioli_oracle(F: Mat, cfg: OracleConfig) -> OracleVerdict:
 
         m = max(int(cfg.samples), 32)
         grid = -math.pi + 2.0 * math.pi * (np.arange(m) + 0.5) / m
-        vals = [g(t) for t in grid]
-        k = int(np.argmin(vals))
+        k = int(np.argmin([g(t) for t in grid]))
         h = 2.0 * math.pi / m
-        theta, best = _golden_min(g, grid[k] - h, grid[k] + h)
-        q_best = _rot2(theta)
+        theta, best, fine = _golden_min(g, grid[k] - h, grid[k] + h)
+        q_best, starts, coarse = _rot2(theta), 1, m
     else:
-        def g3(w: np.ndarray) -> float:
-            return float(np.linalg.norm(_rot3_axis_angle(w).T @ F - np.eye(3)))
-
-        starts = _kronecker_ball_starts(20)
-        coarse_budget = max(cfg.max_iters // 40, 200)
-        coarse: List[Tuple[float, np.ndarray]] = []
-        for w0 in starts:
-            w, val, _ = _compass_min(g3, w0, step=0.5, min_step=5e-3, budget=coarse_budget)
-            coarse.append((val, w))
-        coarse.sort(key=lambda item: item[0])
-        best = math.inf
-        w_best = coarse[0][1]
-        for _, w0 in coarse[:3]:
-            w, val, _ = _compass_min(
-                g3, w0, step=2e-2, min_step=1e-9, budget=cfg.max_iters
-            )
-            if val < best:
-                best, w_best = val, w
-        q_best = _rot3_axis_angle(w_best)
+        g3 = _rotation_misfit3(F)
+        budget = max(cfg.max_iters // 40, 200)
+        runs = [_compass_min(g3, w0, 0.5, 5e-3, budget) for w0 in _kronecker_ball_starts(20)]
+        refined = [  # the best three coarse minima, stable in start order
+            _compass_min(g3, w, 2e-2, 1e-9, cfg.max_iters)
+            for w, _, _ in sorted(runs, key=lambda run: run[1])[:3]
+        ]
+        w_best, best, _ = min(refined, key=lambda run: run[1])
+        q_best, starts = _rot3_axis_angle(w_best), len(runs)
+        coarse, fine = (sum(run[2] for run in stage) for stage in (runs, refined))
+    stats = {"starts": starts, "coarse_evaluations": coarse, "fine_evaluations": fine,
+             "seconds": time.perf_counter() - t_start}
 
     matches = float(np.linalg.norm(q_best - report.minimizer)) <= 1e-4
     passed = best >= closed - cfg.tol and matches
@@ -287,6 +304,7 @@ def grioli_oracle(F: Mat, cfg: OracleConfig) -> OracleVerdict:
         relative_gap=_relative_gap(best, closed),
         passed=passed,
         witness=q_best,
+        stats=stats,
     )
 
 
@@ -313,13 +331,35 @@ _GL_T, _GL_W = _gauss_legendre(16)
 
 def _in_gl_plus(nodes: np.ndarray) -> bool:
     """Whether every chord A -> A + D of a planar node stack (N+1, 2, 2)
-    stays in GL+: det(A + tD) = q0 + lin t + q2 t^2 is smallest on [0, 1]
-    at an end or at the vertex clipped into [0, 1]."""
-    A = nodes[:-1]
-    q0, q1, q2 = np.linalg.det(A), np.linalg.det(nodes[1:]), np.linalg.det(nodes[1:] - A)
-    lin = q1 - q0 - q2
-    t = np.clip(np.divide(-lin, 2.0 * q2, out=np.zeros_like(q2), where=q2 > 0.0), 0.0, 1.0)
-    return bool(np.all(np.minimum(np.minimum(q0, q1), q0 + t * (lin + t * q2)) > 0.0))
+    stays in GL+: det(A + tD) = q0 + lin t + q2 t^2 is positive at both
+    ends and, where its vertex -lin / (2 q2) lies in (0, 1), there too."""
+    E = np.reshape(nodes, (-1, 4)).T  # the entries a, b, c, d of every node
+    (a, b, c, d), (da, db, dc, dd) = E, E[:, 1:] - E[:, :-1]
+    det = a * d - b * c
+    q0, q2 = det[:-1], da * dd - db * dc
+    lin = det[1:] - q0 - q2
+    vertex = (lin < 0.0) & (lin > -2.0 * q2)  # so q2 > 0
+    return bool(det.min() > 0.0 and not np.any(vertex & (lin * lin >= 4.0 * q0 * q2)))
+
+
+def _entry_matmul(P: np.ndarray, Q: np.ndarray) -> np.ndarray:
+    """Products P Q of entry-major stacks (n, n, ...)."""
+    return (P[:, :, np.newaxis] * Q).sum(axis=1)
+
+
+def _chords(X: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """M_q^-1 and Z_q = M_q^-1 D for every chord A -> A + D of a node stack
+    X (N+1, n, n), with M_q = A + t_q D on the rule of _polyline_length;
+    both entry-major, of shape (n, n, N, 16)."""
+    E = np.ascontiguousarray(X.transpose(1, 2, 0))[..., np.newaxis]
+    D = E[:, :, 1:] - E[:, :, :-1]
+    M = E[:, :, :-1] + _GL_T * D
+    if M.shape[0] == 2:  # the adjugate
+        (a, b), (c, d) = M
+        M_inv = np.array([[d, -b], [-c, a]]) / (a * d - b * c)
+    else:
+        M_inv = np.moveaxis(np.linalg.inv(np.moveaxis(M, (0, 1), (-2, -1))), (-2, -1), (0, 1))
+    return M_inv, _entry_matmul(M_inv, D)
 
 
 def _polyline_length(path: Sequence, p: MetricParams) -> float:
@@ -334,21 +374,7 @@ def _polyline_length(path: Sequence, p: MetricParams) -> float:
     nodes = np.asarray(path, dtype=float).reshape(-1, 2, 2)
     if not _in_gl_plus(nodes):
         return math.inf
-    A = nodes[:-1]
-    D = nodes[1:] - A
-    M = A[:, np.newaxis] + _GL_T[:, np.newaxis, np.newaxis] * D[:, np.newaxis]
-    Z = np.linalg.solve(M, np.broadcast_to(D[:, np.newaxis], M.shape))
-    norms = _stacked_weighted_norms(Z.reshape(-1, 2, 2), p).reshape(M.shape[:2])
-    return float(np.sum(norms @ _GL_W))
-
-
-def _stacked_inv(M: np.ndarray) -> np.ndarray:
-    """Inverses of a stack of invertible matrices; 2x2 ones by the adjugate,
-    ten times faster than LAPACK on small stacks."""
-    if M.shape[-1] != 2:
-        return np.linalg.inv(M)
-    a, b, c, d = M[..., 0, 0], M[..., 0, 1], M[..., 1, 0], M[..., 1, 1]
-    return (np.stack([d, -b, -c, a], axis=-1) / (a * d - b * c)[..., np.newaxis]).reshape(M.shape)
+    return float(np.sum(_stacked_weighted_norms(_chords(nodes)[1], p) @ _GL_W))
 
 
 def _path_energy(X: np.ndarray, p: MetricParams) -> Tuple[float, np.ndarray]:
@@ -363,26 +389,20 @@ def _path_energy(X: np.ndarray, p: MetricParams) -> Tuple[float, np.ndarray]:
     adds sum_q (H - t_q H Z_q^T) to the gradient at its end node and
     sum_q (-H - (1 - t_q) H Z_q^T) at its start node.
     """
-    A = X[:-1, np.newaxis]
-    D = X[1:, np.newaxis] - A
-    t = _GL_T[:, np.newaxis, np.newaxis]
-    M_inv = _stacked_inv(A + t * D)
-    Z = M_inv @ D
-    G = (2.0 * (X.shape[0] - 1)) * _GL_W[:, np.newaxis, np.newaxis] * _metric_map(Z, p)
-    H = np.swapaxes(M_inv, -1, -2) @ G
-    HZt = H @ np.swapaxes(Z, -1, -2)
-    at_end = np.sum(H - t * HZt, axis=1)
-    grad = np.zeros_like(X)
-    grad[1:] = at_end
-    grad[:-1] -= at_end + np.sum(HZt, axis=1)
-    return 0.5 * float(np.sum(Z * G)), grad
+    M_inv, Z = _chords(X)
+    G = (2.0 * (X.shape[0] - 1)) * _GL_W * _metric_map(Z, p)
+    H = _entry_matmul(M_inv.swapaxes(0, 1), G)
+    HZt = _entry_matmul(H, Z.swapaxes(0, 1))
+    at_end = (H - _GL_T * HZt).sum(axis=-1)
+    grad = np.zeros(X.shape[1:] + X.shape[:1])
+    grad[..., 1:] = at_end
+    grad[..., :-1] -= at_end + HZt.sum(axis=-1)
+    return 0.5 * float((Z * G).sum()), grad.transpose(2, 0, 1)
 
 
 def _lbfgs(
-    energy: Callable[[np.ndarray], Optional[Tuple[float, np.ndarray]]],
-    x: np.ndarray,
-    max_evals: int,
-    stats: dict,
+    energy: Callable[[np.ndarray], Optional[Tuple[float, np.ndarray]]], x: np.ndarray,
+    max_evals: int, stats: dict,
 ) -> Iterator[Tuple[np.ndarray, float]]:
     """L-BFGS descent (memory _LBFGS_MEMORY) of energy(x) -> (value,
     gradient), which is None outside the domain; the start x lies inside.
@@ -506,10 +526,7 @@ def _path_objective(
 
 
 def _run_path_search(
-    F: np.ndarray,
-    p: MetricParams,
-    cfg: OracleConfig,
-    pinned_theta: Optional[float],
+    F: np.ndarray, p: MetricParams, cfg: OracleConfig, pinned_theta: Optional[float]
 ) -> Tuple[float, dict]:
     """_lbfgs descent of the discrete path energy over the interior nodes
     and, unless pinned, the start angle, under cfg.max_iters evaluations.
@@ -649,22 +666,22 @@ def _principal_logs(M: np.ndarray, stats: Optional[dict] = None) -> Tuple[np.nda
 
 
 def _metric_map(S: np.ndarray, p: MetricParams) -> np.ndarray:
-    """mu dev sym S + mu_c skew S + (kappa/2) tr S id for a stack (..., n, n).
+    """mu dev sym S + mu_c skew S + (kappa/2) tr S id for an entry-major
+    stack S (n, n, ...).
 
     The three parts are orthogonal projections of S, so <S, _metric_map(S)>
     is the squared weighted norm mu ||dev sym S||^2 + mu_c ||skew S||^2 +
     (kappa/2) tr^2 S, and 2 _metric_map(S) is its gradient.
     """
-    n = S.shape[-1]
-    out = 0.5 * (p.mu + p.mu_c) * S + 0.5 * (p.mu - p.mu_c) * np.swapaxes(S, -1, -2)
-    diagonal = np.einsum("...ii->...i", out)
-    diagonal += (0.5 * p.kappa - p.mu / n) * np.trace(S, axis1=-2, axis2=-1)[..., np.newaxis]
+    n = S.shape[0]
+    out = 0.5 * (p.mu + p.mu_c) * S + 0.5 * (p.mu - p.mu_c) * S.swapaxes(0, 1)
+    np.einsum("ii...->i...", out)[...] += (0.5 * p.kappa - p.mu / n) * S.trace()
     return out
 
 
 def _stacked_weighted_norms(S: np.ndarray, p: MetricParams) -> np.ndarray:
-    """matcore.weighted_norm of every matrix in a stack (k, n, n)."""
-    return np.sqrt(np.maximum(np.sum(S * _metric_map(S, p), axis=(-2, -1)), 0.0))
+    """matcore.weighted_norm of every matrix in an entry-major stack (n, n, ...)."""
+    return np.sqrt(np.maximum(np.sum(S * _metric_map(S, p), axis=(0, 1)), 0.0))
 
 
 def _logmin_impl(F: np.ndarray, cfg: OracleConfig, p: MetricParams, claim: str) -> OracleVerdict:
@@ -688,8 +705,8 @@ def _logmin_impl(F: np.ndarray, cfg: OracleConfig, p: MetricParams, claim: str) 
     stats = {"samples": int(cfg.samples)}
     logs, ok = _principal_logs(np.swapaxes(Q, -1, -2) @ F, stats)
     stats["skipped"] = int(np.count_nonzero(~ok))
-    sym_logs = 0.5 * (logs + np.swapaxes(logs, -1, -2))
-    values = np.where(ok, _stacked_weighted_norms(sym_logs, p), math.inf)
+    logs = np.moveaxis(logs, (-2, -1), (0, 1))
+    values = np.where(ok, _stacked_weighted_norms(0.5 * (logs + logs.swapaxes(0, 1)), p), math.inf)
 
     violations = np.flatnonzero(values < closed - 1e-9)
     min_val = float(np.min(values))

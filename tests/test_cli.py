@@ -457,6 +457,20 @@ class TestPath:
         code, _, _ = run_cli(base + ["--from", "-0.5", "--to", "2.0", "--steps", "5"], capsys)
         assert code == 1
 
+    def test_exponent_overflow_exits_2_without_traceback(self):
+        # the lateral bracket's exp(khat t^2) overflows for this model
+        argv = shlex.split(
+            "path --mode uniaxial_free --model exp_hencky --mu 0.26 --kappa 0.007 "
+            "--k 0.28 --khat 16.7 --from 0.5 --to 2.5 --steps 41"
+        )
+        proc = subprocess.run([sys.executable, "-m", "geolog", *argv],
+                              capture_output=True, text=True)
+        assert proc.returncode == 2
+        assert proc.stdout == ""
+        assert "Traceback" not in proc.stderr
+        assert proc.stderr.startswith("invalid input: floating-point overflow")
+        assert len(proc.stderr.splitlines()) == 1
+
 
 class TestScalarEngine:
     """The fast diagonal stress path must agree with the tensor law."""
@@ -652,6 +666,17 @@ class TestFit:
         result = run_fit(problem)
         assert result.converged
         assert result.rms < 1e-9
+
+    def test_every_start_infeasible_exits_2(self, tmp_path, capsys):
+        # at stretches near e^46 the lateral stress overflows for every model
+        f = self.make_csv(tmp_path, [1e20, 1e21, 1e22, 1e23], [1.0, 2.0, 3.0, 4.0])
+        code, out, err = run_cli(
+            ["fit", "--data", str(f), "--model", "exp_hencky", "--mode",
+             "uniaxial_free", "--stress", "biot", "--seed", "3"], capsys
+        )
+        assert code == 2
+        assert out == ""
+        assert err == "invalid input: floating-point overflow (math range error)\n"
 
     def test_three_points_insufficient(self, tmp_path, capsys):
         f = self.make_csv(tmp_path, [1.0, 1.2, 1.4], [0.1, 0.2, 0.3])

@@ -12,6 +12,7 @@ from geolog.matcore import (
     NonPositiveDeterminantError,
     polar_decompose,
     principal_log_spd,
+    split_orthogonal,
     weighted_norm,
 )
 from geolog.geodesy import dist_squared_to_SO
@@ -144,6 +145,54 @@ class TestGrioliOracle:
             grioli_oracle(np.diag([1.0, -1.0]), self.CFG)
         with pytest.raises(ValueError):
             grioli_oracle(np.eye(4), self.CFG)
+
+    def test_stats_count_the_work(self, monkeypatch):
+        # every objective evaluation builds one rotation, and so does the witness
+        calls = []
+        for name in ("_rot2", "_rot3_rows"):
+            build = getattr(oracle, name)
+            monkeypatch.setattr(oracle, name, lambda w, build=build: calls.append(w) or build(w))
+        cfg = OracleConfig(seed=3, samples=40, max_iters=50)
+        for F in (F_SHEAR, random_gl(np.random.default_rng(73), 3)):
+            calls.clear()
+            v = grioli_oracle(F, cfg)
+            s = v.stats
+            assert s["coarse_evaluations"] + s["fine_evaluations"] + 1 == len(calls)
+            if F.shape[0] == 2:
+                assert s["starts"] == 1 and s["coarse_evaluations"] == 40
+            else:  # a coarse descent may use 200 evaluations, a refined one max_iters
+                assert s["starts"] == 20 and s["coarse_evaluations"] <= 20 * 200
+                assert 3 <= s["fine_evaluations"] <= 3 * 50
+            assert s["seconds"] > 0.0
+            tag = "PASS" if v.passed else "FAIL"
+            assert str(v) == (
+                f"[{tag}] {v.claim}: closed_form={v.closed_form_value:.9g} "
+                f"oracle={v.oracle_value:.9g} gap={v.relative_gap:.3g}"
+            )
+
+
+def matrix_misfit3(w, F):
+    """||exp([w]_x)^T F - id|| through a numpy Rodrigues matrix id + aK + b K @ K."""
+    theta = float(np.linalg.norm(w))
+    if theta < 1e-8:
+        a, b = 1.0 - theta ** 2 / 6.0, 0.5 - theta ** 2 / 24.0
+    else:
+        a, b = math.sin(theta) / theta, (1.0 - math.cos(theta)) / theta ** 2
+    K = np.array([[0.0, -w[2], w[1]], [w[2], 0.0, -w[0]], [-w[1], w[0], 0.0]])
+    return float(np.linalg.norm((np.eye(3) + a * K + b * (K @ K)).T @ F - np.eye(3)))
+
+
+@pytest.mark.parametrize("radius", ["random", "series", "near-pi"])
+def test_scalar_misfit_matches_the_matrix_form(radius):
+    rng = np.random.default_rng(71)
+    for _ in range(300):
+        F = random_gl(rng, 3)
+        w = rng.standard_normal(3)
+        r = {"random": rng.uniform(0.0, 3.0), "series": rng.uniform(0.0, 1e-8),
+             "near-pi": math.pi - rng.uniform(0.0, 1e-6)}[radius]
+        w *= r / np.linalg.norm(w)
+        expect = matrix_misfit3(w, F)
+        assert oracle._rotation_misfit3(F)(w) == pytest.approx(expect, rel=1e-15, abs=0.0)
 
 
 class TestGeodesicDistanceOracle:
@@ -283,6 +332,58 @@ F_HALF_TURN = np.array([[-1.8416284933431886, 0.11435705304008659],
 
 def central_differences(f, x, h=1e-6):
     return np.array([(f(x + h * e) - f(x - h * e)) / (2.0 * h) for e in np.eye(x.size)])
+
+
+def loop_path_reference(X, p):
+    """Per-chord, per-matrix reference for _path_energy and _polyline_length:
+    (energy, gradient, length) of the node stack X, with np.linalg.inv and
+    matcore's weighted norm at every Gauss-Legendre node."""
+    n_seg, n = X.shape[0] - 1, X.shape[1]
+    energy, length, grad = 0.0, 0.0, np.zeros_like(X)
+    for k in range(n_seg):
+        A, D = X[k], X[k + 1] - X[k]
+        for t, w in zip(oracle._GL_T, oracle._GL_W):
+            M_inv = np.linalg.inv(A + t * D)
+            Z = M_inv @ D
+            norm = weighted_norm(Z, p)
+            energy += n_seg * w * norm ** 2
+            length += w * norm
+            s = split_orthogonal(Z)  # the gradient of ||Z||_p^2 is twice this map
+            metric = p.mu * s.dev_sym + p.mu_c * s.skew + 0.5 * p.kappa * n * s.spherical_coeff * np.eye(n)
+            H = M_inv.T @ (2.0 * n_seg * w * metric)
+            grad[k + 1] += H - t * H @ Z.T
+            grad[k] -= H + (1.0 - t) * H @ Z.T
+    return energy, grad, length
+
+
+def assert_matches_loop_reference(X, p):
+    energy, grad, length = loop_path_reference(X, p)
+    value, gradient = _path_energy(X, p)
+    assert value == pytest.approx(energy, rel=1e-13, abs=0.0)
+    assert gradient.shape == X.shape
+    assert np.max(np.abs(gradient - grad)) <= 1e-13 * np.max(np.abs(grad))
+    if X.shape[1] == 2:
+        assert _polyline_length(X, p) == pytest.approx(length, rel=1e-13, abs=0.0)
+
+
+class TestPathKernels:
+    @pytest.mark.parametrize("p", TRIPLES, ids=["frobenius", "mu2", "muc3"])
+    @pytest.mark.parametrize("n_seg", [5, 12, 33, 80])
+    def test_planar_polylines_match_the_loop_reference(self, p, n_seg):
+        rng = np.random.default_rng(61 + n_seg)
+        F = random_gl(rng, 2)
+        pol = polar_decompose(F)
+        theta_r = math.atan2(pol.rotation[1, 0], pol.rotation[0, 0])
+        X = oracle._two_phase_nodes(F, rng.uniform(-math.pi, math.pi), theta_r,
+                                    pol.right_stretch, n_seg)
+        X[1:-1] *= 1.0 + 0.02 * rng.standard_normal((n_seg - 1, 2, 2))
+        assert _in_gl_plus(X)
+        assert_matches_loop_reference(X, p)
+
+    def test_spatial_stack_matches_the_loop_reference(self):
+        rng = np.random.default_rng(67)
+        X = np.eye(3) + 0.3 * np.arange(9)[:, None, None] * rng.standard_normal((9, 3, 3)) / 9
+        assert_matches_loop_reference(X, TRIPLES[2])
 
 
 class TestPathEnergySearch:
