@@ -5,9 +5,11 @@ matrix, `verify` runs the brute-force verification suites, `path` tabulates
 deformation paths as CSV, and `fit` recovers material parameters from
 stress-control data.
 
-Exit codes: 0 success, 1 usage error, 2 invalid matrix or data or a float
-overflow (say, of exp-Hencky's exponentials in a `path` or `fit`), 3 unsupported
-model/mode combination, 4 non-convergence, 5 a `verify` claim failed.
+Exit codes: 0 success, 1 usage error or a parameter out of range, 2 invalid
+matrix or data (det F <= 0 or a condition number above 1e14 included) or a
+float overflow (say, of exp-Hencky's exponentials in a `path` or `fit`), 3
+unsupported model/mode combination, 4 non-convergence, 5 a `verify` claim
+failed.
 """
 
 from __future__ import annotations
@@ -17,13 +19,15 @@ import json
 import math
 import sys
 from dataclasses import dataclass, field, replace
-from typing import Callable, List, Optional, Sequence, TextIO, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, TextIO, Tuple
 
 import numpy as np
 
 from .matcore import (
     MetricParams,
     NonPositiveDeterminantError,
+    ParameterOutOfRangeError,
+    SingularMatrixError,
     log_invariants,
     polar_decompose,
     principal_log_spd,
@@ -41,7 +45,6 @@ from .geodesy import (
 from .constitutive import (
     MaterialModel,
     MotionSample,
-    ParameterOutOfRangeError,
     UnsupportedModelError,
     almansi_rate_check,
     coaxial_lograte_check,
@@ -80,15 +83,6 @@ MODE_KINDS = (
     "volumetric",
 )
 STRESS_KINDS = ("biot", "cauchy", "kirchhoff")
-SUITES = (
-    "grioli",
-    "geodesic-distance",
-    "logmin",
-    "symmetry",
-    "rates",
-    "log-rules",
-    "exp-hencky-rank-one",
-)
 CSV_HEADER = "control,detF,omega_iso,omega_vol,energy,stress"
 _EPS = sys.float_info.epsilon
 
@@ -172,6 +166,8 @@ class FitProblem:
             raise UsageError(f"unknown deformation mode {self.mode_kind!r}")
         if self.stress_kind not in STRESS_KINDS:
             raise UsageError(f"unknown stress kind {self.stress_kind!r}")
+        if int(self.seed) != self.seed or self.seed < 0:
+            raise ParameterOutOfRangeError("seed must be an integer >= 0")
 
 
 @dataclass(frozen=True)
@@ -356,12 +352,7 @@ def _shear_stress_scalar(stress_kind: str, model: MaterialModel, gamma: float) -
 
 def _path_model(model: MaterialModel) -> MaterialModel:
     """Path tables report exp-Hencky energies normalized to vanish at rest."""
-    if model.kind == "exp_hencky" and not model.normalized:
-        return MaterialModel(
-            kind=model.kind, mu=model.mu, kappa=model.kappa,
-            k=model.k, khat=model.khat, normalized=True,
-        )
-    return model
+    return replace(model, normalized=True) if model.kind == "exp_hencky" else model
 
 
 def path_rows(mode: DeformationMode, model: MaterialModel) -> List[Tuple[float, ...]]:
@@ -486,7 +477,7 @@ def _suite_geodesic(
 ) -> List[OracleVerdict]:
     if dim != 2:
         raise UnsupportedCombinationError(
-            "the geodesic-distance suite runs planar searches only (--dim 2)"
+            "the path oracle runs planar searches only (--dim 2)"
         )
     fixed = [np.eye(2), np.diag([math.e, 1.0 / math.e]), np.array([[1.0, 1.0], [0.0, 1.0]])]
     rng = substream(cfg.seed, 2)
@@ -569,57 +560,38 @@ def _suite_symmetry(dim: int, cfg: OracleConfig, p: MetricParams) -> List[Oracle
 
 
 def _rate_motions() -> List[Tuple[str, str, List[MotionSample]]]:
-    steps = 1000
-    ts = np.linspace(0.0, 1.0, steps)
     K = np.array([[0.0, -1.0, 0.4], [1.0, 0.0, -0.2], [-0.4, 0.2, 0.0]]) / math.sqrt(1.4)
 
-    rigid = []
-    for t in ts:
+    def rigid(t):
         Q = mat_exp(0.9 * t * K)
-        rigid.append(MotionSample(F=Q, F_dot=0.9 * K @ Q, time=float(t)))
+        return Q, 0.9 * K @ Q
 
-    stretch = []
-    for t in ts:
-        lam = 1.0 + 0.5 * t
-        stretch.append(
-            MotionSample(F=np.diag([lam, 1.0, 1.0]), F_dot=np.diag([0.5, 0.0, 0.0]), time=float(t))
-        )
-
-    mixed = []
-    for t in ts:
-        lam = 1.0 + 0.5 * t
+    def mixed(t):
         Q = mat_exp(1.1 * t * K)
-        S = np.diag([lam, 1.0, 1.0])
-        S_dot = np.diag([0.5, 0.0, 0.0])
-        mixed.append(
-            MotionSample(F=Q @ S, F_dot=1.1 * K @ Q @ S + Q @ S_dot, time=float(t))
-        )
+        S = np.diag([1.0 + 0.5 * t, 1.0, 1.0])
+        return Q @ S, 1.1 * K @ Q @ S + Q @ np.diag([0.5, 0.0, 0.0])
 
-    dilation = []
-    for t in ts:
-        a = 1.0 + 0.8 * t
-        dilation.append(MotionSample(F=a * np.eye(3), F_dot=0.8 * np.eye(3), time=float(t)))
-
-    isochoric = []
-    for t in ts:
+    def isochoric(t):
         lam = 1.0 + 0.5 * t
-        F = np.diag([lam, 1.0 / lam, 1.0])
-        F_dot = np.diag([0.5, -0.5 / lam ** 2, 0.0])
-        isochoric.append(MotionSample(F=F, F_dot=F_dot, time=float(t)))
+        return np.diag([lam, 1.0 / lam, 1.0]), np.diag([0.5, -0.5 / lam ** 2, 0.0])
 
-    triaxial = []
-    for t in ts:
+    def triaxial(t):
         F = np.diag([1.0 + 0.5 * t, 1.0 / (1.0 + 0.3 * t), 1.0 + 0.25 * t * t])
-        F_dot = np.diag([0.5, -0.3 / (1.0 + 0.3 * t) ** 2, 0.5 * t])
-        triaxial.append(MotionSample(F=F, F_dot=F_dot, time=float(t)))
+        return F, np.diag([0.5, -0.3 / (1.0 + 0.3 * t) ** 2, 0.5 * t])
 
-    return [
+    motions = [  # (identity family, label, t -> (F, F_dot))
         ("almansi", "rigid rotation", rigid),
-        ("almansi", "diagonal stretch", stretch),
+        ("almansi", "diagonal stretch",
+         lambda t: (np.diag([1.0 + 0.5 * t, 1.0, 1.0]), np.diag([0.5, 0.0, 0.0]))),
         ("almansi", "rotation with stretch", mixed),
-        ("coaxial", "dilation", dilation),
+        ("coaxial", "dilation", lambda t: ((1.0 + 0.8 * t) * np.eye(3), 0.8 * np.eye(3))),
         ("coaxial", "isochoric stretch", isochoric),
         ("coaxial", "triaxial stretch", triaxial),
+    ]
+    ts = np.linspace(0.0, 1.0, 1000)
+    return [
+        (family, label, [MotionSample(*motion(t), time=float(t)) for t in ts])
+        for family, label, motion in motions
     ]
 
 
@@ -707,25 +679,25 @@ def _suite_rank_one(cfg: OracleConfig) -> List[OracleVerdict]:
     return claims
 
 
+# suite name -> (dim, cfg, p, nodes_override) -> verdicts
+SUITES: Dict[str, Callable[..., List[OracleVerdict]]] = {
+    "grioli": lambda dim, cfg, p, nodes: _suite_grioli(dim, cfg),
+    "geodesic-distance": _suite_geodesic,
+    "logmin": lambda dim, cfg, p, nodes: _suite_logmin(dim, cfg),
+    "symmetry": lambda dim, cfg, p, nodes: _suite_symmetry(dim, cfg, p),
+    "rates": lambda dim, cfg, p, nodes: _suite_rates(),
+    "log-rules": lambda dim, cfg, p, nodes: _suite_log_rules(dim, cfg),
+    "exp-hencky-rank-one": lambda dim, cfg, p, nodes: _suite_rank_one(cfg),
+}
+
+
 def run_suite(
     suite: str, dim: int, cfg: OracleConfig, p: MetricParams,
     nodes_override: Optional[int] = None,
 ) -> List[OracleVerdict]:
-    if suite == "grioli":
-        return _suite_grioli(dim, cfg)
-    if suite == "geodesic-distance":
-        return _suite_geodesic(dim, cfg, p, nodes_override)
-    if suite == "logmin":
-        return _suite_logmin(dim, cfg)
-    if suite == "symmetry":
-        return _suite_symmetry(dim, cfg, p)
-    if suite == "rates":
-        return _suite_rates()
-    if suite == "log-rules":
-        return _suite_log_rules(dim, cfg)
-    if suite == "exp-hencky-rank-one":
-        return _suite_rank_one(cfg)
-    raise UsageError(f"unknown suite {suite!r}")
+    if suite not in SUITES:
+        raise UsageError(f"unknown suite {suite!r}")
+    return SUITES[suite](dim, cfg, p, nodes_override)
 
 
 # ---------------------------------------------------------------------------
@@ -939,7 +911,7 @@ def _build_parser() -> _Parser:
     v.add_argument("--seed", type=int, default=0)
     v.add_argument("--tol", type=float, default=0.02)
     v.add_argument("--nodes", type=int, default=0,
-                   help="path nodes for geodesic-distance (0 = scale per matrix)")
+                   help="path nodes of the path oracle (0 = scale per matrix)")
     v.add_argument("--max-iters", type=int, default=200000)
     v.add_argument("--mu", type=float, default=1.0)
     v.add_argument("--muc", type=float, default=1.0)
@@ -1008,17 +980,13 @@ def _cmd_path(args: argparse.Namespace, out: TextIO) -> int:
 
 def _cmd_fit(args: argparse.Namespace, out: TextIO) -> int:
     controls, stresses = _read_fit_csv(args.data)
-    if args.model not in _FREE_PARAMETERS:
-        raise UnsupportedCombinationError(
-            f"fit supports the log-strain energies, not {args.model!r}"
-        )
     problem = FitProblem(
         controls=controls,
         stresses=stresses,
         mode_kind=args.mode,
         stress_kind=args.stress,
         model_kind=args.model,
-        free_parameters=_FREE_PARAMETERS[args.model],
+        free_parameters=_FREE_PARAMETERS.get(args.model, ()),
         seed=args.seed,
         max_iters=args.max_iters,
     )
@@ -1027,31 +995,17 @@ def _cmd_fit(args: argparse.Namespace, out: TextIO) -> int:
     return EXIT_OK
 
 
+_COMMANDS = {"measure": _cmd_measure, "verify": _cmd_verify, "path": _cmd_path, "fit": _cmd_fit}
+
+
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
-    except UsageError as exc:
+        args = _build_parser().parse_args(argv)
+        return _COMMANDS[args.command](args, sys.stdout)
+    except (UsageError, ParameterOutOfRangeError, UnsupportedModelError) as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    out = sys.stdout
-    try:
-        if args.command == "measure":
-            return _cmd_measure(args, out)
-        if args.command == "verify":
-            return _cmd_verify(args, out)
-        if args.command == "path":
-            return _cmd_path(args, out)
-        if args.command == "fit":
-            return _cmd_fit(args, out)
-        raise UsageError(f"unknown command {args.command!r}")
-    except UsageError as exc:
-        print(f"usage error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except (ParameterOutOfRangeError, UnsupportedModelError) as exc:
-        print(f"usage error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except (InvalidInputError, NonPositiveDeterminantError) as exc:
+    except (InvalidInputError, NonPositiveDeterminantError, SingularMatrixError) as exc:
         print(f"invalid input: {exc}", file=sys.stderr)
         return EXIT_BAD_INPUT
     except OverflowError as exc:

@@ -26,11 +26,12 @@ import numpy as np
 
 from .matcore import (
     Mat,
-    NonPositiveDeterminantError,
+    ParameterOutOfRangeError,
     as_square,
     deviatoric,
     log_invariants,
     principal_log_spd,
+    require_gl_plus,
     skew_part,
     stretch_spectrum,
     sym_part,
@@ -74,13 +75,6 @@ MODEL_KINDS = (
     "becker_biot",
 )
 
-ENERGY_KINDS = ("hencky", "exp_hencky", "svk", "biot_linear")
-
-
-class ParameterOutOfRangeError(ValueError):
-    """A material parameter violates its admissible range."""
-
-
 class UnsupportedModelError(ValueError):
     """The requested operation is not defined for this model kind."""
 
@@ -96,8 +90,7 @@ class MaterialModel:
     ``mu`` and ``kappa`` are the shear and bulk moduli.  ``lam`` optionally
     pins the first Lame constant; when absent it is derived per dimension as
     kappa - 2 mu / n.  ``k`` and ``khat`` are the dimensionless exponents of
-    the exponentiated energy, constrained to k >= 1/4 and khat >= 1/8.
-    ``order`` selects the family member for kind "hill_family".  With
+    the exponentiated energy, constrained to k >= 1/4 and khat >= 1/8.  With
     ``normalized`` set, the exponentiated energy subtracts its value at the
     identity so that it vanishes on the rotation group like the others.
     """
@@ -108,7 +101,6 @@ class MaterialModel:
     lam: "float | None" = None
     k: float = 0.25
     khat: float = 0.125
-    order: "float | None" = None
     normalized: bool = False
 
     def __post_init__(self) -> None:
@@ -132,10 +124,8 @@ class MotionSample:
     time: "float | None" = None
 
     def __post_init__(self) -> None:
-        F = as_square(self.F, "F")
+        require_gl_plus(self.F)
         as_square(self.F_dot, "F_dot")
-        if np.linalg.det(F) <= 0.0:
-            raise NonPositiveDeterminantError("motion sample has det F <= 0")
 
 
 def lame_lambda(model: MaterialModel, n: int) -> float:
@@ -143,13 +133,6 @@ def lame_lambda(model: MaterialModel, n: int) -> float:
     if model.lam is not None:
         return float(model.lam)
     return model.kappa - 2.0 * model.mu / n
-
-
-def _require_positive_det(F: Mat) -> Mat:
-    F = as_square(F, "F")
-    if np.linalg.det(F) <= 0.0:
-        raise NonPositiveDeterminantError("det F must be positive")
-    return F
 
 
 def energy_from_logs(model: MaterialModel, logs: Sequence[float]) -> float:
@@ -206,7 +189,7 @@ def energy(model: MaterialModel, F: Mat) -> float:
         e = stretch_spectrum(F)[1] - 1.0
         lam = lame_lambda(model, e.size)
         return model.mu * float(e @ e) + 0.5 * lam * float(np.sum(e)) ** 2
-    F = _require_positive_det(F)
+    F = require_gl_plus(F)
     if model.kind == "svk":
         n = F.shape[0]
         E = (F.T @ F - np.eye(n)) / 2.0
@@ -241,7 +224,7 @@ def kirchhoff_stress(model: MaterialModel, F: Mat) -> Mat:
 def cauchy_stress(tau: Mat, F: Mat) -> Mat:
     """Cauchy stress from a Kirchhoff stress: sigma = tau / det F."""
     tau = as_square(tau, "tau")
-    F = _require_positive_det(F)
+    F = require_gl_plus(F)
     return tau / float(np.linalg.det(F))
 
 
@@ -252,7 +235,7 @@ def first_piola_fd(model: MaterialModel, F: Mat, h: "float | None" = None) -> Ma
     roundoff at double precision.  For the logarithmic energies the contraction
     S1 F^T reproduces :func:`kirchhoff_stress` to O(h^2).
     """
-    F = _require_positive_det(F)
+    F = require_gl_plus(F)
     if h is None:
         h = 1e-5 * (1.0 + float(np.linalg.norm(F)))
     n = F.shape[0]
@@ -371,7 +354,7 @@ def coaxial_lograte_check(path: "list[MotionSample]") -> float:
 
 def shield_transform(model: MaterialModel, F: Mat) -> float:
     """Shield's transformation W*(F) = det F * W(F^{-1}) of the model's energy."""
-    F = _require_positive_det(F)
+    F = require_gl_plus(F)
     return float(np.linalg.det(F)) * energy(model, np.linalg.inv(F))
 
 

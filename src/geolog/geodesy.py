@@ -32,6 +32,7 @@ from .matcore import (
     mat_exp,
     principal_log_rotation,
     principal_log_spd,
+    require_gl_plus,
     skew_part,
     spd_function,
     split_orthogonal,
@@ -76,10 +77,8 @@ class GeodesicSegment:
     params: MetricParams
 
     def __post_init__(self) -> None:
-        F = as_square(self.base, "base")
+        require_gl_plus(self.base, "base")
         as_square(self.tangent_param, "tangent_param")
-        if np.linalg.det(F) <= 0.0:
-            raise ValueError("geodesic base point must have positive determinant")
 
 
 @dataclass(frozen=True)

@@ -44,6 +44,10 @@ class AngleAtPiError(ValueError):
     """A rotation angle sits at pi, where the principal logarithm branch is ambiguous."""
 
 
+class ParameterOutOfRangeError(ValueError):
+    """A material, metric or oracle parameter violates its admissible range."""
+
+
 def as_square(X: "Mat | list", name: str = "matrix") -> Mat:
     """Coerce to a square float array and validate finiteness."""
     A = np.asarray(X, dtype=float)
@@ -52,6 +56,24 @@ def as_square(X: "Mat | list", name: str = "matrix") -> Mat:
     if not np.all(np.isfinite(A)):
         raise ValueError(f"{name} has non-finite entries")
     return A
+
+
+def require_gl_plus(F: "Mat | list", name: str = "F") -> Mat:
+    """Coerce to a square finite float array with positive determinant.
+
+    The sign of det F comes from ``np.linalg.slogdet``, which carries log |det F|
+    and so neither underflows (1e-150 id in 3D) nor overflows (1e150 id).
+
+    Raises
+    ------
+    NonPositiveDeterminantError
+        If det F <= 0.
+    """
+    F = as_square(F, name)
+    sign = np.linalg.slogdet(F)[0]
+    if sign <= 0.0:
+        raise NonPositiveDeterminantError(f"det {name} {'= 0' if sign == 0.0 else '< 0'} is not positive")
+    return F
 
 
 def _tol(rel: float, *mats: Mat) -> float:
@@ -114,7 +136,7 @@ class MetricParams:
 
     def __post_init__(self) -> None:
         if not (self.mu > 0.0 and self.mu_c > 0.0 and self.kappa > 0.0):
-            raise ValueError(
+            raise ParameterOutOfRangeError(
                 f"metric weights must be strictly positive, got "
                 f"mu={self.mu}, mu_c={self.mu_c}, kappa={self.kappa}"
             )
@@ -188,32 +210,22 @@ def stretch_spectrum(F: Mat) -> tuple[Mat, np.ndarray, Mat]:
 
     Every isotropic closed form of F in the package is scalar work on the
     singular values s in one of these frames: A B^T is the polar rotation,
-    U = B diag(s) B^T and V = A diag(s) A^T are the stretches.  Should
-    det(A B^T) come out negative (impossible once det F > 0 is enforced, but
-    kept for robustness), the sign is folded into the column belonging to
-    the smallest singular value.
+    U = B diag(s) B^T and V = A diag(s) A^T are the stretches.  With
+    det F > 0 and the condition number bounded, det(A B^T) = +1, so A B^T is
+    a rotation.
 
     Raises
     ------
     NonPositiveDeterminantError
-        If det F <= 0.
+        If det F <= 0 (see :func:`require_gl_plus`).
     SingularMatrixError
         If s[0] / s[-1], the condition number, exceeds ``COND_LIMIT``.
     """
-    F = as_square(F, "F")
-    det = float(np.linalg.det(F))
-    if det <= 0.0:
-        raise NonPositiveDeterminantError(f"det F = {det:g} is not positive")
-    A, s, Bt = np.linalg.svd(F)
+    A, s, Bt = np.linalg.svd(require_gl_plus(F))
     if s[-1] <= 0.0 or s[0] / s[-1] > COND_LIMIT:
         raise SingularMatrixError(
             f"condition number {s[0] / max(s[-1], 1e-300):.3e} exceeds {COND_LIMIT:g}"
         )
-    if np.linalg.det(A) * np.linalg.det(Bt) < 0.0:
-        A = A.copy()
-        A[:, -1] *= -1.0
-        s = s.copy()
-        s[-1] *= -1.0
     return A, s, Bt.T
 
 

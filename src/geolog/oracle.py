@@ -33,6 +33,7 @@ import numpy as np
 from .matcore import (
     Mat,
     MetricParams,
+    ParameterOutOfRangeError,
     as_square,
     polar_decompose,
 )
@@ -73,9 +74,9 @@ class OracleConfig:
         for name, low in (("seed", 0), ("samples", 1), ("nodes", 4), ("max_iters", 1)):
             value = getattr(self, name)
             if int(value) != value or value < low:
-                raise ValueError(f"{name} must be an integer >= {low}")
+                raise ParameterOutOfRangeError(f"{name} must be an integer >= {low}")
         if not (self.tol > 0.0):
-            raise ValueError("tol must be positive")
+            raise ParameterOutOfRangeError("tol must be positive")
 
 
 @dataclass(frozen=True)
@@ -128,10 +129,6 @@ def _rot3_rows(w: Sequence[float]) -> Tuple[Tuple[float, float, float], ...]:
     return ((c + bx * wx, bx * wy - a * wz, bx * wz + a * wy),
             (bx * wy + a * wz, c + by * wy, by * wz - a * wx),
             (bx * wz - a * wy, by * wz + a * wx, c + bz * wz))
-
-
-def _rot3_axis_angle(w: Sequence[float]) -> np.ndarray:
-    return np.array(_rot3_rows(w))
 
 
 def _rotation_misfit3(F: np.ndarray) -> Callable[[Sequence[float]], float]:
@@ -290,7 +287,7 @@ def grioli_oracle(F: Mat, cfg: OracleConfig) -> OracleVerdict:
             for w, _, _ in sorted(runs, key=lambda run: run[1])[:3]
         ]
         w_best, best, _ = min(refined, key=lambda run: run[1])
-        q_best, starts = _rot3_axis_angle(w_best), len(runs)
+        q_best, starts = np.array(_rot3_rows(w_best)), len(runs)
         coarse, fine = (sum(run[2] for run in stage) for stage in (runs, refined))
     stats = {"starts": starts, "coarse_evaluations": coarse, "fine_evaluations": fine,
              "seconds": time.perf_counter() - t_start}

@@ -34,7 +34,7 @@ from geolog.cli import (
 from geolog.constitutive import MaterialModel, kirchhoff_stress
 from geolog.geodesy import dist_squared_to_SO, euclid_dist_to_SO, omega_iso, omega_vol
 from geolog.matcore import MetricParams, polar_decompose, principal_log_spd
-from geolog.oracle import OracleVerdict
+from geolog.oracle import OracleConfig, OracleVerdict
 
 SHEAR = "[[1,1],[0,1]]"
 PHI = (1.0 + math.sqrt(5.0)) / 2.0
@@ -470,6 +470,63 @@ class TestPath:
         assert "Traceback" not in proc.stderr
         assert proc.stderr.startswith("invalid input: floating-point overflow")
         assert len(proc.stderr.splitlines()) == 1
+
+
+class TestErrorExits:
+    """Every rejected input ends in one stderr line and its exit code."""
+
+    @pytest.mark.parametrize("argv", [
+        ["verify", "--suite", "rates", "--samples", "0"],
+        ["verify", "--suite", "rates", "--nodes", "2"],
+        ["verify", "--suite", "rates", "--seed", "-1"],
+        ["verify", "--suite", "rates", "--tol", "0"],
+        ["verify", "--suite", "rates", "--kappa", "-1"],
+        ["measure", "--matrix", SHEAR, "--mu", "0"],
+    ])
+    def test_out_of_range_parameters_are_usage_errors(self, argv, capsys):
+        code, out, err = run_cli(argv, capsys)
+        assert code == cli.EXIT_USAGE == 1
+        assert out == ""
+        assert err.startswith("usage error: ")
+        assert len(err.splitlines()) == 1
+
+    def test_condition_number_limit_is_invalid_input(self, capsys):
+        code, out, err = run_cli(["measure", "--matrix", "[[1,0],[0,1e-15]]"], capsys)
+        assert code == cli.EXIT_BAD_INPUT == 2
+        assert out == ""
+        assert err == "invalid input: condition number 1.000e+15 exceeds 1e+14\n"
+
+    @pytest.mark.parametrize("matrix", ["[[1,1],[1,1]]", "[[1,2],[2,4]]", "[[1,0],[0,-1]]"])
+    def test_nonpositive_determinant_is_invalid_input(self, matrix, capsys):
+        code, out, err = run_cli(["measure", "--matrix", matrix], capsys)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("invalid input: det F ")
+
+    def test_tiny_scale_is_measured(self, capsys):
+        code, out, _ = run_cli(
+            ["measure", "--matrix", "[[1e-150,0,0],[0,1e-150,0],[0,0,1e-150]]", "--format", "json"],
+            capsys,
+        )
+        assert code == 0
+        assert json.loads(out)["omega_vol"] == pytest.approx(450.0 * math.log(10.0), rel=1e-15)
+
+    def test_negative_fit_seed_is_a_usage_error(self, tmp_path, capsys):
+        f = tmp_path / "data.csv"
+        f.write_text("control,stress\n1.0,0.1\n1.2,0.2\n1.4,0.3\n1.6,0.4\n")
+        code, out, err = run_cli(
+            ["fit", "--data", str(f), "--model", "hencky", "--mode", "uniaxial_free",
+             "--stress", "biot", "--seed", "-1"], capsys
+        )
+        assert code == 1
+        assert out == ""
+        assert err == "usage error: seed must be an integer >= 0\n"
+
+    def test_run_suite_dispatches_on_the_suite_table(self):
+        with pytest.raises(UsageError):
+            cli.run_suite("nope", 2, OracleConfig(), MetricParams())
+        verdicts = cli.run_suite("exp-hencky-rank-one", 2, OracleConfig(samples=3), MetricParams())
+        assert len(verdicts) == 2 and all(v.passed for v in verdicts)
 
 
 class TestScalarEngine:

@@ -1,10 +1,12 @@
 """Tests for energies, stresses, generalized linear laws and rate identities."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
 
+import geolog.matcore
 from geolog.matcore import (
     MetricParams,
     NonPositiveDeterminantError,
@@ -93,8 +95,38 @@ class TestMaterialModel:
         with pytest.raises(NonPositiveDeterminantError):
             MotionSample(F=np.diag([1.0, -1.0]), F_dot=np.zeros((2, 2)))
 
+    def test_motion_sample_rejects_exactly_singular(self):
+        with pytest.raises(NonPositiveDeterminantError):
+            MotionSample(F=np.array([[1.0, 1.0], [1.0, 1.0]]), F_dot=np.zeros((2, 2)))
+
+    @pytest.mark.parametrize("scale", [1e-150, 1e150])
+    def test_motion_sample_accepts_extreme_scales(self, scale):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            s = MotionSample(F=scale * np.eye(3), F_dot=np.zeros((3, 3)), time=0.0)
+        assert np.array_equal(s.F, scale * np.eye(3))
+
+    def test_parameter_error_is_shared_with_matcore(self):
+        assert ParameterOutOfRangeError is geolog.matcore.ParameterOutOfRangeError
+        assert issubclass(ParameterOutOfRangeError, ValueError)
+
 
 class TestEnergy:
+    def test_hencky_at_tiny_spherical_scale(self):
+        # det F = 1e-450 underflows; the energy only sees log s = -150 ln 10
+        model = MaterialModel(kind="hencky", mu=1.0, kappa=0.7)
+        expected = 0.5 * 0.7 * (450.0 * math.log(10.0)) ** 2
+        assert energy(model, 1e-150 * np.eye(3)) == pytest.approx(expected, rel=1e-14)
+
+    def test_huge_spherical_scale_without_warnings(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            w = energy(HENCKY, 1e150 * np.eye(3))
+            tau = kirchhoff_stress(HENCKY, 1e150 * np.eye(3))
+        vol = 450.0 * math.log(10.0)
+        assert w == pytest.approx(0.5 * vol * vol, rel=1e-14)
+        assert np.allclose(tau, vol * np.eye(3), rtol=1e-14, atol=0.0)
+
     def test_zero_on_rotations(self):
         rng = np.random.default_rng(71)
         exp_norm = MaterialModel(kind="exp_hencky", mu=1.3, kappa=0.8, k=0.3, khat=0.2, normalized=True)

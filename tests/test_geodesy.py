@@ -5,6 +5,7 @@ notes/derive_expected.py (build log), not to the code under test.
 """
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -82,6 +83,19 @@ class TestGeodesicSegment:
     def test_rejects_nonpositive_determinant_base(self):
         with pytest.raises(ValueError):
             GeodesicSegment(base=np.diag([1.0, -1.0]), tangent_param=np.eye(2), params=MetricParams())
+
+    def test_nonpositive_determinant_base_is_named(self):
+        for base in (np.diag([1.0, -1.0]), np.array([[1.0, 2.0], [2.0, 4.0]])):
+            with pytest.raises(NonPositiveDeterminantError):
+                GeodesicSegment(base=base, tangent_param=np.eye(2), params=MetricParams())
+
+    @pytest.mark.parametrize("scale", [1e-150, 1e150])
+    def test_extreme_scale_base_accepted(self, scale):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            seg = GeodesicSegment(base=scale * np.eye(3), tangent_param=np.zeros((3, 3)),
+                                  params=MetricParams())
+        assert np.array_equal(geodesic_point(seg, 0.5), scale * np.eye(3))
 
     def test_zero_tangent_is_constant(self):
         F = np.array([[1.2, 0.3], [0.1, 0.9]])
@@ -275,6 +289,21 @@ class TestDistSquaredToSO:
             assert d_c == pytest.approx(4.0 * dist_squared_to_SO(F, p).squared_distance, rel=1e-10)
 
 class TestOmegas:
+    def test_tiny_spherical_scale(self):
+        # det F = 1e-450 underflows, but F lies in GL+(3)
+        F = 1e-150 * np.eye(3)
+        assert omega_vol(F) == pytest.approx(450.0 * math.log(10.0), rel=1e-15)
+        assert omega_iso(F) == pytest.approx(0.0, abs=1e-12)
+
+    def test_huge_spherical_scale_without_warnings(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            vol, iso = omega_vol(1e150 * np.eye(3)), omega_iso(1e150 * np.eye(3))
+            dist2 = dist_squared_to_SO(1e150 * np.eye(3), MetricParams()).squared_distance
+        assert vol == pytest.approx(450.0 * math.log(10.0), rel=1e-15)
+        assert iso == pytest.approx(0.0, abs=1e-12)
+        assert dist2 == pytest.approx(0.5 * vol * vol, rel=1e-14)
+
     def test_spherical(self):
         for c in (0.5, 2.0):
             F = c * np.eye(3)

@@ -6,6 +6,7 @@ implementation existed.
 """
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -16,6 +17,7 @@ from geolog.matcore import (
     MetricParams,
     NonPositiveDeterminantError,
     NotSPDError,
+    ParameterOutOfRangeError,
     SingularMatrixError,
     is_rotation,
     is_skew,
@@ -25,9 +27,11 @@ from geolog.matcore import (
     polar_decompose,
     principal_log_rotation,
     principal_log_spd,
+    require_gl_plus,
     skew_part,
     split_orthogonal,
     sqrt_spd,
+    stretch_spectrum,
     sym_part,
     weighted_inner,
     weighted_norm,
@@ -226,6 +230,34 @@ class TestPolarDecompose:
     def test_near_singular_rejected(self):
         with pytest.raises(SingularMatrixError):
             polar_decompose(np.diag([1.0, 1e-15]))
+
+
+class TestPositiveDeterminantGate:
+    @pytest.mark.parametrize("scale", [1e-150, 1e150])
+    def test_extreme_scales_are_accepted_without_warnings(self, scale):
+        # det F = scale^3 under- or overflows a double; its sign does not
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            A, s, B = stretch_spectrum(scale * np.eye(3))
+            R = polar_decompose(scale * np.eye(3)).rotation
+        assert np.all(s == scale)
+        assert np.array_equal(A @ B.T, np.eye(3))
+        assert np.array_equal(R, np.eye(3))
+
+    @pytest.mark.parametrize("F", [[[1.0, 1.0], [1.0, 1.0]], [[1.0, 2.0], [2.0, 4.0]]])
+    def test_exactly_singular_is_a_nonpositive_determinant(self, F):
+        with pytest.raises(NonPositiveDeterminantError, match="= 0"):
+            require_gl_plus(F)
+        with pytest.raises(NonPositiveDeterminantError):
+            stretch_spectrum(F)
+
+    def test_negative_determinant_named(self):
+        with pytest.raises(NonPositiveDeterminantError, match="det base < 0"):
+            require_gl_plus(np.diag([1.0, -1e-200, 1.0]), "base")
+
+    def test_returns_the_float_array(self):
+        F = require_gl_plus([[2, 0], [0, 3]])
+        assert F.dtype == float and np.array_equal(F, np.diag([2.0, 3.0]))
 
 
 class TestSqrtSpd:
@@ -450,3 +482,9 @@ class TestPredicates:
             MetricParams(kappa=-1.0)
         with pytest.raises(ValueError):
             MetricParams(mu_c=0.0)
+
+    @pytest.mark.parametrize("kwargs", [{"mu": 0.0}, {"mu_c": -1.0}, {"kappa": 0.0}])
+    def test_metric_params_raise_the_named_parameter_error(self, kwargs):
+        with pytest.raises(ParameterOutOfRangeError) as info:
+            MetricParams(**kwargs)
+        assert isinstance(info.value, ValueError)

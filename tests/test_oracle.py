@@ -10,6 +10,7 @@ import scipy.linalg
 from geolog.matcore import (
     MetricParams,
     NonPositiveDeterminantError,
+    ParameterOutOfRangeError,
     polar_decompose,
     principal_log_spd,
     split_orthogonal,
@@ -76,6 +77,11 @@ class TestOracleConfig:
     )
     def test_rejects_bad_fields(self, kwargs):
         with pytest.raises(ValueError):
+            OracleConfig(**kwargs)
+
+    @pytest.mark.parametrize("kwargs", [{"samples": 0}, {"seed": -1}, {"tol": 0.0}])
+    def test_bad_fields_raise_the_named_parameter_error(self, kwargs):
+        with pytest.raises(ParameterOutOfRangeError):
             OracleConfig(**kwargs)
 
 
