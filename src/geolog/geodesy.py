@@ -188,9 +188,12 @@ def omega_vol(F: Mat) -> float:
 
 
 def cofactor(F: Mat) -> Mat:
-    """Cofactor matrix det(F) F^{-T}."""
-    F = as_square(F, "F")
-    return float(np.linalg.det(F)) * np.linalg.inv(F).T
+    """Cofactor matrix det(F) F^{-T} = A diag(prod_{j != i} s_j) B^T of F in
+    GL+, from its stretch spectrum: no det F is formed, so it stays
+    representable where det F under- or overflows (entries near 1e+-150).
+    Raises as stretch_spectrum does."""
+    A, s, B = stretch_spectrum(F)
+    return (A * [math.prod(np.delete(s, i)) for i in range(s.size)]) @ B.T
 
 
 def dist_cof_squared_to_SO(F: Mat, p: MetricParams) -> float:

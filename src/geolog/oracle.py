@@ -3,9 +3,9 @@
 Every engine in this module re-derives a minimum by direct search so the
 closed forms elsewhere in the package can be checked against something that
 does not share their code path: golden-section / multi-start descent over the
-rotation group, discrete geodesics on GL+(2) (L-BFGS on the discrete path
-energy of a matrix polyline, with its analytic gradient, judged by the
-polyline's length), and large-sample admissible-logarithm sweeps.
+rotation group, discrete geodesics on GL+(2) (Newton's method on the discrete
+path energy of a matrix polyline, whose Hessian is block tridiagonal, judged
+by the polyline's length), and large-sample admissible-logarithm sweeps.
 
 All randomness is drawn from counter-derived Philox substreams, so a verdict
 is a pure function of the inputs and the config (bitwise, independent of how
@@ -16,15 +16,15 @@ Inner loops avoid numpy calls on tiny matrices, whose dispatch cost dwarfs
 their arithmetic. The path kernels hold matrix stacks entry-major, shape
 (n, n, ...) with the long axes last, so for any n each numpy call works on
 vectors of N x 16 entries: a product is one broadcast multiply and a sum
-over a length-n axis, a 2x2 inverse the adjugate. The spatial rotation
-search evaluates its misfit in Python floats.
+over a length-n axis, a 2x2 inverse the adjugate; a leading stack axis
+takes a Newton step's Hessian probes in one call. The rotation searches
+evaluate their misfits in Python floats.
 """
 
 from __future__ import annotations
 
 import math
 import time
-from collections import deque
 from dataclasses import dataclass, field
 from typing import Callable, Iterator, List, Optional, Sequence, Tuple
 
@@ -60,8 +60,8 @@ class OracleConfig:
 
     nodes counts path segments for the discrete geodesic search. max_iters
     bounds objective evaluations: per compass-descent start of the spatial
-    rotation search, and per path search, whose L-BFGS descent also stops
-    after 300 iterations, whichever comes first.
+    rotation search, and per path search, where Hessian columns count as
+    gradient evaluations.
     """
 
     seed: int = 0
@@ -110,9 +110,19 @@ def substream(seed: int, index: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(counter=counter, key=key))
 
 
-def _rot2(theta: float) -> np.ndarray:
+def _rot2_rows(theta: float) -> Tuple[Tuple[float, float], Tuple[float, float]]:
     c, s = math.cos(theta), math.sin(theta)
-    return np.array([[c, -s], [s, c]])
+    return (c, -s), (s, c)
+
+
+def _rot2(theta: float) -> np.ndarray:
+    return np.array(_rot2_rows(theta))
+
+
+def _rot2_stack(theta: np.ndarray) -> np.ndarray:
+    """Planar rotations by every angle of an array, shape theta.shape + (2, 2)."""
+    c, s = np.cos(theta), np.sin(theta)
+    return np.stack([np.stack([c, -s], axis=-1), np.stack([s, c], axis=-1)], axis=-2)
 
 
 def _rot3_rows(w: Sequence[float]) -> Tuple[Tuple[float, float, float], ...]:
@@ -129,6 +139,18 @@ def _rot3_rows(w: Sequence[float]) -> Tuple[Tuple[float, float, float], ...]:
     return ((c + bx * wx, bx * wy - a * wz, bx * wz + a * wy),
             (bx * wy + a * wz, c + by * wy, by * wz - a * wx),
             (bx * wz - a * wy, by * wz + a * wx, c + bz * wz))
+
+
+def _rotation_misfit2(F: np.ndarray) -> Callable[[float], float]:
+    """theta -> ||rot2(theta)^T F - id|| for a 2x2 F in Python floats."""
+    (f00, f01), (f10, f11) = F.tolist()
+
+    def g(theta: float) -> float:
+        (c, _), (s, _) = _rot2_rows(theta)
+        return math.hypot(c * f00 + s * f10 - 1.0, c * f01 + s * f11, c * f10 - s * f00,
+                          c * f11 - s * f01 - 1.0)
+
+    return g
 
 
 def _rotation_misfit3(F: np.ndarray) -> Callable[[Sequence[float]], float]:
@@ -157,9 +179,7 @@ def _random_rotations(rng: np.random.Generator, n: int, count: int) -> np.ndarra
     on `count`.
     """
     if n == 2:
-        theta = rng.uniform(-math.pi, math.pi, size=count)
-        c, s = np.cos(theta), np.sin(theta)
-        return np.stack([np.stack([c, -s], axis=-1), np.stack([s, c], axis=-1)], axis=-2)
+        return _rot2_stack(rng.uniform(-math.pi, math.pi, size=count))
     # uniform on SO(3) via normalized quaternions
     q = rng.standard_normal((count, 4))
     a, b, c, d = (q / np.linalg.norm(q, axis=1, keepdims=True)).T
@@ -269,9 +289,7 @@ def grioli_oracle(F: Mat, cfg: OracleConfig) -> OracleVerdict:
     closed = report.distance
 
     if n == 2:
-        def g(theta: float) -> float:
-            return float(np.linalg.norm(_rot2(theta).T @ F - np.eye(2)))
-
+        g = _rotation_misfit2(F)
         m = max(int(cfg.samples), 32)
         grid = -math.pi + 2.0 * math.pi * (np.arange(m) + 0.5) / m
         k = int(np.argmin([g(t) for t in grid]))
@@ -309,10 +327,6 @@ def grioli_oracle(F: Mat, cfg: OracleConfig) -> OracleVerdict:
 # discrete geodesic path search
 # ---------------------------------------------------------------------------
 
-_LBFGS_MEMORY = 10
-_LBFGS_ITERATIONS = 300
-
-
 def _gauss_legendre(m: int) -> Tuple[np.ndarray, np.ndarray]:
     """m-point Gauss-Legendre rule on [0, 1] (Golub-Welsch: the nodes are
     the eigenvalues of the Jacobi matrix of the Legendre recurrence, the
@@ -346,11 +360,11 @@ def _entry_matmul(P: np.ndarray, Q: np.ndarray) -> np.ndarray:
 
 def _chords(X: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
     """M_q^-1 and Z_q = M_q^-1 D for every chord A -> A + D of a node stack
-    X (N+1, n, n), with M_q = A + t_q D on the rule of _polyline_length;
-    both entry-major, of shape (n, n, N, 16)."""
-    E = np.ascontiguousarray(X.transpose(1, 2, 0))[..., np.newaxis]
-    D = E[:, :, 1:] - E[:, :, :-1]
-    M = E[:, :, :-1] + _GL_T * D
+    X (..., N+1, n, n), with M_q = A + t_q D on the rule of _polyline_length;
+    both entry-major, of shape (n, n, ..., N, 16)."""
+    E = np.ascontiguousarray(np.moveaxis(X, (-2, -1), (0, 1)))[..., np.newaxis]
+    D = E[..., 1:, :] - E[..., :-1, :]
+    M = E[..., :-1, :] + _GL_T * D
     if M.shape[0] == 2:  # the adjugate
         (a, b), (c, d) = M
         M_inv = np.array([[d, -b], [-c, a]]) / (a * d - b * c)
@@ -374,9 +388,9 @@ def _polyline_length(path: Sequence, p: MetricParams) -> float:
     return float(np.sum(_stacked_weighted_norms(_chords(nodes)[1], p) @ _GL_W))
 
 
-def _path_energy(X: np.ndarray, p: MetricParams) -> Tuple[float, np.ndarray]:
-    """Discrete path energy of a node stack X (N+1, n, n) in GL+, and its
-    gradient.
+def _path_energy(X: np.ndarray, p: MetricParams) -> Tuple[np.ndarray, np.ndarray]:
+    """Discrete path energy of a node stack X (..., N+1, n, n) in GL+, and
+    its gradient, for every stack along the leading axes.
 
     E = N sum_chords sum_q w_q ||Z_q||_p^2, with Z_q = M_q^-1 D and
     M_q = A + t_q D for the chord A -> A + D, on the rule of
@@ -387,75 +401,136 @@ def _path_energy(X: np.ndarray, p: MetricParams) -> Tuple[float, np.ndarray]:
     sum_q (-H - (1 - t_q) H Z_q^T) at its start node.
     """
     M_inv, Z = _chords(X)
-    G = (2.0 * (X.shape[0] - 1)) * _GL_W * _metric_map(Z, p)
+    G = (2.0 * (X.shape[-3] - 1)) * _GL_W * _metric_map(Z, p)
     H = _entry_matmul(M_inv.swapaxes(0, 1), G)
     HZt = _entry_matmul(H, Z.swapaxes(0, 1))
     at_end = (H - _GL_T * HZt).sum(axis=-1)
-    grad = np.zeros(X.shape[1:] + X.shape[:1])
+    grad = np.zeros(X.shape[-2:] + X.shape[:-2])
     grad[..., 1:] = at_end
     grad[..., :-1] -= at_end + HZt.sum(axis=-1)
-    return 0.5 * float((Z * G).sum()), grad.transpose(2, 0, 1)
+    return 0.5 * (Z * G).sum(axis=(0, 1, -2, -1)), np.moveaxis(grad, (0, 1), (-2, -1))
 
 
-def _lbfgs(
-    energy: Callable[[np.ndarray], Optional[Tuple[float, np.ndarray]]], x: np.ndarray,
-    max_evals: int, stats: dict,
+def _path_hessian(
+    x: np.ndarray, g: np.ndarray, energy: Callable
+) -> Tuple[List[np.ndarray], List[np.ndarray]]:
+    """Diagonal blocks, and the blocks below them, of the Hessian of the
+    path energy at x with gradient g (variables as in _path_objective).
+
+    A chord couples only its two end nodes, and the free start angle only
+    interior node 1. So with interior node k in colour k mod 3 and the angle
+    in colour 0, 12 forward gradient differences, one stacked energy call,
+    give every nonzero entry (Curtis, Powell and Reid, IMA J. Appl. Math.
+    1974). The blocks are 4x4 and symmetrized; with the angle free, the
+    first diagonal block is 5x5 and the first one below it 4x5.
+    """
+    free, n_int = x.size % 4, x.size // 4
+    h = (x + 1e-7 * np.maximum(1.0, np.abs(x))) - x
+    group = 4 * (np.arange(1, n_int + 1) % 3)[:, np.newaxis] + np.arange(4)  # [node, entry]
+    probes = np.zeros((12, x.size))
+    probes[np.concatenate([np.zeros(free, dtype=int), group.ravel()]), np.arange(x.size)] = h
+    dg = energy(x + probes)[1] - g
+    dn, hn = dg[:, free:].reshape(12, n_int, 4), h[free:].reshape(n_int, 4)
+
+    def block(rows: np.ndarray, cols: np.ndarray) -> np.ndarray:  # at (rows[a], cols[a])
+        return (dn[group[cols], rows[:, np.newaxis]] / hn[cols][..., np.newaxis]).swapaxes(-1, -2)
+
+    a = np.arange(n_int)
+    on_diag = block(a, a)
+    diag = list(0.5 * (on_diag + on_diag.swapaxes(-1, -2)))
+    sub = list(0.5 * (block(a[1:], a[:-1]) + block(a[:-1], a[1:]).swapaxes(-1, -2)))
+    if free:  # the angle's row and column go first
+        b = 0.5 * (dn[0, 0] / h[0] + dg[group[0], 0] / hn[0])
+        diag[0] = np.block([[dg[0, :1] / h[0], b], [b[:, np.newaxis], diag[0]]])
+        sub[0] = np.pad(sub[0], ((0, 0), (1, 0)))
+    return diag, sub
+
+
+def _block_solve(
+    diag: Sequence[np.ndarray], sub: Sequence[np.ndarray], tau: float, r: np.ndarray
+) -> np.ndarray:
+    """Solve A d = r for the symmetric block-tridiagonal A with diagonal
+    blocks diag[k] + tau id and blocks sub[k] below them, by the block
+    Cholesky factorization A = L L^T (O(N) block operations). Raises
+    LinAlgError when A is not positive definite."""
+    shift = tau * np.eye(len(diag[0]))
+    inverses, Cs, ys = [], [], []  # L_k^-1, the blocks C_k below them in L, L^-1 r
+    for k, (D, rk) in enumerate(zip(diag, np.split(r, np.cumsum([len(D) for D in diag[:-1]])))):
+        if k:
+            Cs.append(sub[k - 1] @ inverses[-1].T)
+            D, rk = D - Cs[-1] @ Cs[-1].T, rk - Cs[-1] @ ys[-1]
+        inverses.append(np.linalg.inv(np.linalg.cholesky(D + shift[:len(D), :len(D)])))
+        ys.append(inverses[-1] @ rk)
+    d = [inverses[-1].T @ ys[-1]]
+    for L_inv, C, y in zip(inverses[-2::-1], Cs[::-1], ys[-2::-1]):
+        d.append(L_inv.T @ (y - C.T @ d[-1]))
+    return np.concatenate(d[::-1])
+
+
+def _newton(
+    x: np.ndarray, nodes_of: Callable, energy: Callable, max_evals: int, stats: dict
 ) -> Iterator[Tuple[np.ndarray, float]]:
-    """L-BFGS descent (memory _LBFGS_MEMORY) of energy(x) -> (value,
-    gradient), which is None outside the domain; the start x lies inside.
+    """Newton descent of the path energy over the variables x of
+    _path_objective, from a start whose polyline lies in GL+.
 
-    Yields every accepted iterate (x, value), the start first. A trial
-    outside the domain halves the step without an evaluation; one that
-    misses the Armijo decrease halves it after one. Stops after
-    _LBFGS_ITERATIONS steps, before an evaluation would exceed max_evals,
-    or when the value stops falling (a zero gradient, an accepted step that
-    does not lower it, or no acceptable step of 2^-40 of the proposed one).
-    Counters and the stop reason go into stats.
+    Yields every accepted iterate (x, value), the start first. A step solves
+    with the _path_hessian, shifted by tau id where that is not positive
+    definite (Nocedal and Wright, Numerical Optimization, 2nd ed., 3.4 and
+    8.1). From the unit step, a trial that leaves GL+ halves the step
+    without an evaluation, and one that misses the Armijo decrease halves
+    it after one. Stops "converged" when the Newton decrement reaches
+    roundoff relative to the value, when an accepted step does not lower
+    it, or when no step of 2^-40 is acceptable, and "evaluations" before
+    the gradient evaluations, Hessian columns included, would exceed
+    max_evals. Counters and the stop reason go into stats.
     """
     f, g = energy(x)
-    stats.update(iterations=0, evaluations=1, backtracks=0, gl_halvings=0, stop="iterations")
+    stats.update(newton_steps=0, evaluations=1, shifts=0, backtracks=0, gl_halvings=0)
     yield x, f
-    pairs: deque = deque(maxlen=_LBFGS_MEMORY)  # (s, y, 1 / s.y), oldest first
-    for _ in range(_LBFGS_ITERATIONS):
-        # two-loop recursion for d = -H g
-        d, alphas = -g, []
-        for s, y, rho in reversed(pairs):
-            alphas.append(rho * float(s @ d))
-            d = d - alphas[-1] * y
-        if pairs:
-            d = d / (pairs[-1][2] * float(pairs[-1][1] @ pairs[-1][1]))
-        for (s, y, rho), a in zip(pairs, reversed(alphas)):
-            d = d + (a - rho * float(y @ d)) * s
-        slope = float(g @ d)
-        if not slope < 0.0:  # restart from steepest descent
-            pairs.clear()
-            d, slope = -g, -float(g @ g)
-        if slope == 0.0:
+    tau = floor = 0.0
+    while True:
+        if stats["evaluations"] + 12 > max_evals:
+            stats["stop"] = "evaluations"
+            return
+        diag, sub = _path_hessian(x, g, energy)
+        stats["evaluations"] += 12
+        # carry a quarter of tau over until it reaches the floor; searching
+        # afresh on each step costs more failed factorizations
+        tau = 0.25 * tau if tau > floor else 0.0
+        while True:
+            try:
+                d = _block_solve(diag, sub, tau, -g)
+                break
+            except np.linalg.LinAlgError:
+                stats["shifts"] += 1
+                # a floor near 1e-3 of the diagonal made the steps crawl along
+                # nearly flat directions (pinned paths to F near id)
+                floor = 1e-8 * max(float(np.max(np.abs(np.diagonal(D)))) for D in diag)
+                tau = max(2.0 * tau, floor)
+        slope, alpha = float(g @ d), 1.0
+        # roundoff of E, a sum of 16N positive terms, is about 16N ulps
+        if -0.5 * slope <= 16 * (x.size // 4 + 1) * 2.0 ** -52 * f:
             stats["stop"] = "converged"
             return
-        alpha = 1.0 if pairs else min(1.0, 1.0 / math.sqrt(-slope))  # a restart: unit step
         while True:
             if alpha < 2.0 ** -40 or stats["evaluations"] >= max_evals:
                 stats["stop"] = "evaluations" if alpha >= 2.0 ** -40 else "converged"
                 return
             trial = x + alpha * d
-            out = energy(trial)
-            if out is None:
+            if not _in_gl_plus(nodes_of(trial)):
                 stats["gl_halvings"] += 1
             else:
                 stats["evaluations"] += 1
-                if out[0] <= f + 1e-4 * alpha * slope:
+                f_trial, g_trial = energy(trial)
+                if f_trial <= f + 1e-4 * alpha * slope:
                     break
                 stats["backtracks"] += 1
             alpha *= 0.5
-        if not out[0] < f:
+        if not f_trial < f:
             stats["stop"] = "converged"
             return
-        s, y = trial - x, out[1] - g
-        if float(s @ y) > 0.0:
-            pairs.append((s, y, 1.0 / float(s @ y)))
-        x, (f, g) = trial, out
-        stats["iterations"] += 1
+        x, f, g = trial, f_trial, g_trial
+        stats["newton_steps"] += 1
         yield x, f
 
 
@@ -493,30 +568,30 @@ def _path_objective(
     X0) and one xi_k per interior node, placed at X0_k (id + xi_k); node N
     stays F. As the metric is left-invariant, xi_k weighs moves the way the
     metric does at the start; in raw entries a node with a small singular
-    value s weighs about 1/s^2 more, and such inputs were still 2% above
-    the distance after 300 L-BFGS iterations. Returns x0, nodes_of
-    (x -> node stack) and energy (x -> _path_energy and its gradient in x,
-    or None when a chord leaves GL+).
+    value s weighs about 1/s^2 more, which stalled an earlier quasi-Newton
+    descent 2% above the distance. Returns x0, nodes_of (x -> node stack)
+    and energy (x -> _path_energy and its gradient in x); both map every
+    vector along leading stack axes of x, and energy assumes the polyline
+    lies in GL+.
     """
     n_seg = X0.shape[0] - 1
-    free = theta0 is not None
+    free = int(theta0 is not None)
     interior = X0[1:n_seg]
 
     def nodes_of(x: np.ndarray) -> np.ndarray:
-        X = X0.copy()
+        X = np.broadcast_to(X0, x.shape[:-1] + X0.shape).copy()
         if free:
-            X[0] = _rot2(x[0])
-        X[1:n_seg] += interior @ x[int(free):].reshape(n_seg - 1, 2, 2)
+            X[..., 0, :, :] = _rot2_stack(x[..., 0])
+        X[..., 1:n_seg, :, :] += interior @ x[..., free:].reshape(x.shape[:-1] + interior.shape)
         return X
 
-    def energy(x: np.ndarray) -> Optional[Tuple[float, np.ndarray]]:
-        X = nodes_of(x)
-        if not _in_gl_plus(X):
-            return None
-        value, grad = _path_energy(X, p)
-        g = (np.swapaxes(interior, -1, -2) @ grad[1:n_seg]).ravel()
+    def energy(x: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+        value, grad = _path_energy(nodes_of(x), p)
+        g = (interior.swapaxes(-1, -2) @ grad[..., 1:n_seg, :, :]).reshape(x.shape[:-1] + (-1,))
         if free:  # d rot2(theta) / d theta = rot2(theta + pi/2)
-            g = np.concatenate([[float(np.sum(grad[0] * _rot2(x[0] + 0.5 * math.pi)))], g])
+            turned = _rot2_stack(x[..., 0] + 0.5 * math.pi)
+            g_theta = np.sum(grad[..., 0, :, :] * turned, axis=(-2, -1))
+            g = np.concatenate([g_theta[..., np.newaxis], g], axis=-1)
         return value, g
 
     return np.concatenate([[theta0] if free else [], np.zeros(4 * (n_seg - 1))]), nodes_of, energy
@@ -525,16 +600,17 @@ def _path_objective(
 def _run_path_search(
     F: np.ndarray, p: MetricParams, cfg: OracleConfig, pinned_theta: Optional[float]
 ) -> Tuple[float, dict]:
-    """_lbfgs descent of the discrete path energy over the interior nodes
-    and, unless pinned, the start angle, under cfg.max_iters evaluations.
+    """_newton descent of the discrete path energy over the interior nodes
+    and, unless pinned, the start angle, under cfg.max_iters gradient
+    evaluations.
 
     The one start is the straight interpolation from the rotation at theta
     (the polar angle when free) to F, or, when that comes too close to
     det = 0, the two-phase polyline, whose chords stay in GL+ (turns
     shorter than pi, then stretches between SPD factors). No randomness.
     Returns the _polyline_length of the final polyline and the stats:
-    theta, start, nodes, iterations, evaluations, backtracks, gl_halvings,
-    stop and seconds.
+    newton_steps, evaluations, shifts, backtracks, gl_halvings, start,
+    nodes, theta, stop and seconds.
     """
     t_start = time.perf_counter()
     pol = polar_decompose(F)
@@ -546,7 +622,7 @@ def _run_path_search(
         X0 = _two_phase_nodes(F, theta0, theta_r, pol.right_stretch, cfg.nodes)
         stats["start"] = "two_phase"
     x0, nodes_of, energy = _path_objective(X0, theta0 if pinned_theta is None else None, p)
-    for x, _ in _lbfgs(energy, x0, int(cfg.max_iters), stats):
+    for x, _ in _newton(x0, nodes_of, energy, int(cfg.max_iters), stats):
         pass
     stats["theta"] = theta0 if pinned_theta is not None else float(x[0])
     stats["seconds"] = time.perf_counter() - t_start
@@ -565,8 +641,8 @@ def geodesic_distance_oracle(F: Mat, p: MetricParams, cfg: OracleConfig) -> Orac
     """Shortest polyline from the rotation group to F found by a discrete
     geodesic search.
 
-    Planar only. L-BFGS minimizes the discrete path energy of cfg.nodes
-    chords over the start rotation and all interior nodes
+    Planar only. Newton's method minimizes the discrete path energy of
+    cfg.nodes chords over the start rotation and all interior nodes
     (_run_path_search); the value is the length of the final polyline, a
     curve from SO(2) to F, so it cannot lie below the distance. The verdict
     passes when it is at most cfg.tol (relative) above the closed form and

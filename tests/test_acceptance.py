@@ -83,6 +83,7 @@ def test_criterion_01_geodesic_distance_oracle():
             rel = (v.oracle_value - v.closed_form_value) / v.closed_form_value
             assert v.passed, f"F={F.tolist()} triple={(mu, mu_c, kappa)} rel={rel:+.5f}"
             assert abs(rel) <= 0.02
+            assert v.stats["stop"] == "converged"
     assert time.time() - t0 <= 600.0
 
 

@@ -364,6 +364,13 @@ class TestCofactorDistance:
             direct = dist_squared_to_SO(cofactor(F), p).squared_distance
             assert abs(via_formula - direct) < 1e-10 * max(1.0, direct)
 
+    @pytest.mark.parametrize("scale", [1e-150, 1e150])
+    def test_cofactor_stays_representable_at_extreme_scales(self, scale):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            C = cofactor(scale * np.eye(3))
+        assert np.max(np.abs(C / scale ** 2 - np.eye(3))) <= 1e-14
+
     def test_cofactor_helper(self):
         rng = np.random.default_rng(193)
         F = random_gl(rng, 3)

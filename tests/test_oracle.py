@@ -26,11 +26,13 @@ from geolog.oracle import (
     logmin_oracle,
     substream,
     weighted_logmin_oracle,
+    _block_solve,
     _interp_nodes,
     _in_gl_plus,
-    _lbfgs,
+    _newton,
     _path_activity,
     _path_energy,
+    _path_hessian,
     _path_objective,
     _polyline_length,
     _principal_logs,
@@ -155,7 +157,7 @@ class TestGrioliOracle:
     def test_stats_count_the_work(self, monkeypatch):
         # every objective evaluation builds one rotation, and so does the witness
         calls = []
-        for name in ("_rot2", "_rot3_rows"):
+        for name in ("_rot2_rows", "_rot3_rows"):
             build = getattr(oracle, name)
             monkeypatch.setattr(oracle, name, lambda w, build=build: calls.append(w) or build(w))
         cfg = OracleConfig(seed=3, samples=40, max_iters=50)
@@ -199,6 +201,16 @@ def test_scalar_misfit_matches_the_matrix_form(radius):
         w *= r / np.linalg.norm(w)
         expect = matrix_misfit3(w, F)
         assert oracle._rotation_misfit3(F)(w) == pytest.approx(expect, rel=1e-15, abs=0.0)
+
+
+@pytest.mark.parametrize("near", ["random", "rotation"])
+def test_planar_scalar_misfit_matches_the_matrix_form(near):
+    rng = np.random.default_rng(89)
+    for _ in range(300):
+        theta = rng.uniform(-math.pi, math.pi)
+        F = random_gl(rng, 2) if near == "random" else rot2(theta + 0.1) @ np.diag([1.2, 0.9])
+        expect = float(np.linalg.norm(rot2(theta).T @ F - np.eye(2)))
+        assert oracle._rotation_misfit2(F)(theta) == pytest.approx(expect, rel=1e-15, abs=0.0)
 
 
 class TestGeodesicDistanceOracle:
@@ -392,6 +404,64 @@ class TestPathKernels:
         assert_matches_loop_reference(X, TRIPLES[2])
 
 
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_stacked_energy_matches_single_calls(self, n):
+        rng = np.random.default_rng(73 + n)
+        X = np.eye(n) + 0.3 * np.arange(9)[:, None, None] * rng.standard_normal((9, n, n)) / 9
+        stack = X * (1.0 + 0.01 * rng.standard_normal((2, 3, 9, n, n)))
+        values, grads = _path_energy(stack, TRIPLES[1])
+        assert values.shape == (2, 3) and grads.shape == stack.shape
+        for idx in np.ndindex(2, 3):
+            value, grad = _path_energy(stack[idx], TRIPLES[1])
+            assert values[idx] == pytest.approx(value, rel=1e-13, abs=0.0)
+            assert np.max(np.abs(grads[idx] - grad)) <= 1e-13 * np.max(np.abs(grad))
+
+
+def assemble(diag, sub):
+    """The dense symmetric matrix of block-tridiagonal blocks."""
+    offsets = np.cumsum([0] + [D.shape[0] for D in diag])
+    A = np.zeros((offsets[-1], offsets[-1]))
+    for k, D in enumerate(diag):
+        A[offsets[k]:offsets[k + 1], offsets[k]:offsets[k + 1]] = D
+    for k, B in enumerate(sub):
+        A[offsets[k + 1]:offsets[k + 2], offsets[k]:offsets[k + 1]] = B
+        A[offsets[k]:offsets[k + 1], offsets[k + 1]:offsets[k + 2]] = B.T
+    return A
+
+
+class TestNewtonKernels:
+    @pytest.mark.parametrize("p", TRIPLES, ids=["frobenius", "mu2", "muc3"])
+    @pytest.mark.parametrize("pinned", [False, True], ids=["free", "pinned"])
+    @pytest.mark.parametrize("n_seg", [6, 12])
+    def test_coloured_hessian_matches_central_differences(self, p, pinned, n_seg):
+        theta0 = 0.2
+        x0, nodes_of, energy = _path_objective(_interp_nodes(F_PATH, theta0, n_seg),
+                                               None if pinned else theta0, p)
+        x = x0 + 0.05 * np.random.default_rng(79).standard_normal(x0.size)
+        assert _in_gl_plus(nodes_of(x))
+        value, g = energy(x)
+        diag, sub = _path_hessian(x, g, energy)
+        assert [D.shape for D in diag] == [(4 + (not pinned),) * 2] + [(4, 4)] * (n_seg - 2)
+        dense = central_differences(lambda y: energy(y)[1], x, h=1e-5)
+        coloured = assemble(diag, sub)
+        assert np.max(np.abs(coloured - dense)) <= 1e-6 * np.max(np.abs(dense))
+
+    @pytest.mark.parametrize("first", [4, 5])
+    def test_block_solve_matches_dense_solve(self, first):
+        rng = np.random.default_rng(83 + first)
+        sizes = [first] + [4] * 7
+        diag = [M @ M.T for M in (rng.standard_normal((k, k)) for k in sizes)]
+        sub = [rng.standard_normal((4, k)) for k in sizes[:-1]]
+        A = assemble(diag, sub)
+        r = rng.standard_normal(A.shape[0])
+        with pytest.raises(np.linalg.LinAlgError):  # indefinite without a shift
+            _block_solve(diag, sub, 0.0, r)
+        tau = 1.0 - np.linalg.eigvalsh(A)[0]
+        d = _block_solve(diag, sub, tau, r)
+        expect = np.linalg.solve(A + tau * np.eye(A.shape[0]), r)
+        assert np.max(np.abs(d - expect)) <= 1e-12 * np.max(np.abs(expect))
+
+
 class TestPathEnergySearch:
     @pytest.mark.parametrize("p", TRIPLES, ids=["frobenius", "mu2", "muc3"])
     @pytest.mark.parametrize("pinned", [False, True], ids=["free", "pinned"])
@@ -426,12 +496,25 @@ class TestPathEnergySearch:
             x0, nodes_of, energy = _path_objective(_interp_nodes(F_PATH, 0.2, 12), 0.2, TRIPLES[2])
         stats = {}
         values = []
-        for x, value in _lbfgs(energy, x0, 20000, stats):
+        for x, value in _newton(x0, nodes_of, energy, 20000, stats):
             assert _in_gl_plus(nodes_of(x))
+            assert value == energy(x)[0]
             values.append(value)
         assert all(b < a for a, b in zip(values, values[1:]))
-        assert len(values) == stats["iterations"] + 1
-        assert (stats["gl_halvings"] > 0) == half_turn
+        assert len(values) == stats["newton_steps"] + 1
+        assert stats["stop"] == "converged"
+        if half_turn:  # the unit Newton step from the two-phase start leaves GL+
+            assert stats["gl_halvings"] > 0
+
+    def test_pinned_search_near_a_conformal_input_converges(self):
+        # conjugation by rotations nearly maps these pinned paths onto each
+        # other, so the energy has a nearly flat valley that the shifted
+        # Newton steps must cross within the budget
+        F = np.eye(2) + 1e-6 * np.array([[-0.5, -2.1], [-2.3, 0.5]])
+        cfg = OracleConfig(nodes=12, max_iters=20000)
+        value, stats = _run_path_search(F, TRIPLES[2], cfg, pinned_theta=2.0)
+        assert stats["stop"] == "converged"
+        assert value > math.sqrt(dist_squared_to_SO(F, TRIPLES[2]).squared_distance) + 1.0
 
     @pytest.mark.parametrize("pinned", [None, 0.0, 2.5])
     def test_identical_calls_are_bit_identical(self, pinned):
@@ -444,12 +527,15 @@ class TestPathEnergySearch:
         }
 
     def test_verdict_stats_bound_the_work(self):
-        for max_iters, stops in ((200000, {"converged", "iterations"}), (40, {"evaluations"})):
+        for max_iters, stop in ((200000, "converged"), (40, "evaluations")):
             cfg = OracleConfig(nodes=24, max_iters=max_iters)
             v = geodesic_distance_oracle(F_PATH, TRIPLES[1], cfg)
             s = v.stats
-            assert s["iterations"] <= 300 and s["evaluations"] <= max_iters
-            assert s["stop"] in stops and s["start"] == "interp" and s["nodes"] == 24
+            assert set(s) == {"newton_steps", "evaluations", "shifts", "backtracks",
+                              "gl_halvings", "start", "nodes", "theta", "stop", "seconds"}
+            # every step costs a 12-column Hessian and at least one trial
+            assert 1 + 13 * s["newton_steps"] <= s["evaluations"] <= max_iters
+            assert s["stop"] == stop and s["start"] == "interp" and s["nodes"] == 24
             assert s["seconds"] > 0.0
             assert np.array_equal(v.witness, rot2(s["theta"]))
             tag = "PASS" if v.passed else "FAIL"
