@@ -17,8 +17,10 @@ their arithmetic. The path kernels hold matrix stacks entry-major, shape
 (n, n, ...) with the long axes last, so for any n each numpy call works on
 vectors of N x 16 entries: a product is one broadcast multiply and a sum
 over a length-n axis, a 2x2 inverse the adjugate; a leading stack axis
-takes a Newton step's Hessian probes in one call. The rotation searches
-evaluate their misfits in Python floats.
+takes a Newton step's Hessian probes in one call. The log sampling takes
+its principal logs the same way, entry-major over the samples, from
+closed-form eigenvalues. The rotation searches evaluate their misfits in
+Python floats.
 """
 
 from __future__ import annotations
@@ -710,32 +712,203 @@ def best_approx_uniqueness_probe(F: Mat, p: MetricParams, cfg: OracleConfig) -> 
 # sampled logarithm inequality
 # ---------------------------------------------------------------------------
 
+# The 3x3 logs take the Taylor branch when all three eigenvalues lie within
+# _CLUSTER times their mean m of m. Outside it the divided difference over
+# the farthest pair loses at most about 2 eps / _CLUSTER of its digits; in
+# it the series, cut after _TAYLOR_TERMS terms, leaves a remainder below
+# _CLUSTER ** (_TAYLOR_TERMS - 1) = 1e-18 of its quadratic term.
+_CLUSTER = 1e-2
+_TAYLOR_TERMS = 10
+
+
+def _pair_off_axis(s: np.ndarray, q: np.ndarray, det: np.ndarray, scale: np.ndarray) -> np.ndarray:
+    """Whether both eigenvalues scale (s +- sqrt(q)) of a real pair (a
+    conjugate pair when q < 0) with product det keep off the closed
+    negative real axis. An eigenvalue counts as on it when its imaginary
+    part is at most 1e-12 max(1, |lambda|) and its real part is not
+    positive; the sign of the smaller one of a real pair is that of det."""
+    w = np.sqrt(np.abs(q))
+    conjugate_on = (w <= 1e-12 * np.maximum(1.0 / scale, np.hypot(s, w))) & (s <= 0.0)
+    return ~np.where(q >= 0.0, (s <= 0.0) | (det <= 0.0), conjugate_on)
+
+
+def _log_slope(s: np.ndarray, q: np.ndarray, det: np.ndarray) -> np.ndarray:
+    """The divided difference f[b, a] of the principal log over an eigenvalue
+    pair a, b = s +- sqrt(q) with product det, off the negative axis:
+    atanh(sqrt q / s) / sqrt q for a real pair, atan2(sqrt -q, s) / sqrt -q
+    for a conjugate pair and 1 / s for a double eigenvalue. For the
+    conjugate pair, atan2 is Higham's 2 atanh(z) / (a - b) with its
+    unwinding term (Functions of Matrices, 2008, eq. 11.28), so pairs just
+    off the negative axis come out right. A real pair far apart takes
+    atanh = log(a / b) / 2 with b = det / a, which keeps the digits of a
+    small eigenvalue that s - sqrt(q) would cancel away."""
+    w = np.sqrt(np.abs(q))
+    safe = np.where(q == 0.0, 1.0, w)
+    atanh = np.where(w < 0.5 * s, np.arctanh(w / s), np.log(s + w) - 0.5 * np.log(det))
+    slope = np.where(q > 0.0, atanh, np.arctan2(w, s)) / safe
+    return np.where(q == 0.0, 1.0 / s, slope)
+
+
+def _log_dd(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """The divided difference f[x, y] = log(y / x) / (y - x) of the principal
+    log for a positive node x and a node y off the closed negative axis.
+    Their arguments differ by less than pi, so the unwinding term of
+    Higham's eq. 11.28 is zero. log(y / x) is taken in real arithmetic,
+    through log1p of d = (y - x) / x when y is near x, which keeps its
+    digits, and at a fraction of the cost of numpy's complex log."""
+    diff = y - x
+    d = diff / x
+    dr, di = d.real, d.imag
+    near = 0.5 * np.log1p(dr * (2.0 + dr) + di * di)
+    far = np.log(np.abs(y)) - np.log(x)
+    log_ratio = np.where(np.abs(d) < 0.5, near, far) + 1j * np.arctan2(y.imag, y.real)
+    return np.where(diff == 0.0, 1.0 / x, log_ratio / diff)
+
+
+def _dominant_root(P: np.ndarray, Q: np.ndarray) -> np.ndarray:
+    """The real root of largest modulus of mu^3 + P mu + Q = 0: Cardano's
+    form where it is the only real root, the trigonometric form where all
+    three are real, then two Newton steps. The cubic is first scaled by the
+    power of two at or above max(|P|^(1/2), |Q|^(1/3)), so that the squares
+    and cubes below stay in range however small P and Q are."""
+    size = np.maximum(np.sqrt(np.abs(P)), np.cbrt(np.abs(Q)))
+    unit = np.ldexp(1.0, np.frexp(size)[1])  # 1 where P = Q = 0
+    P, Q = P / unit / unit, Q / unit / unit / unit
+    D = (0.5 * Q) ** 2 + (P / 3.0) ** 3
+    u = np.cbrt(-0.5 * Q - np.copysign(np.sqrt(np.maximum(D, 0.0)), Q))
+    rho = np.sqrt(np.maximum(-P / 3.0, 0.0))
+    angle = np.arccos(np.minimum(np.abs(Q) / (2.0 * rho ** 3), 1.0)) / 3.0
+    trig = np.where(rho > 0.0, np.copysign(2.0 * rho * np.cos(angle), -Q), 0.0)
+    mu = np.where(D > 0.0, u - P / (3.0 * u), trig)
+    for _ in range(2):
+        slope = 3.0 * mu * mu + P
+        mu = np.where(slope != 0.0, mu - ((mu * mu + P) * mu + Q) / slope, mu)
+    return mu * unit
+
+
+def _det3(A: np.ndarray) -> np.ndarray:
+    """Determinants of an entry-major 3x3 stack, by cofactors."""
+    (a00, a01, a02), (a10, a11, a12), (a20, a21, a22) = A
+    return a00 * (a11 * a22 - a12 * a21) - a01 * (a10 * a22 - a12 * a20) + a02 * (a10 * a21 - a11 * a20)
+
+
+def _taylor_coeffs(m: np.ndarray, P: np.ndarray, Q: np.ndarray) -> List[np.ndarray]:
+    """(a0, a1, a2) with log(m I + B) = a0 I + a1 B + a2 B^2 for a traceless B
+    whose eigenvalues are small against m > 0: log m plus the series
+    sum_j (-1)^(j+1) X^j / j in X = B / m, whose powers Cayley-Hamilton
+    reduces to X^2 (X^3 = -P' X - Q' I with P' = P / m^2, Q' = Q / m^3)."""
+    P, Q = P / m / m, Q / m / m / m
+    a = [np.zeros_like(m)] * 3
+    u, v, w = np.ones_like(m), np.zeros_like(m), np.zeros_like(m)  # X^j = u I + v X + w X^2
+    for j in range(1, _TAYLOR_TERMS + 1):
+        u, v, w = -w * Q, u - w * P, v
+        g = (-1.0) ** (j + 1) / j
+        a = [a[0] + g * u, a[1] + g * v, a[2] + g * w]
+    return [np.log(m) + a[0], a[1] / m, a[2] / m / m]
+
+
+def _pair(C: np.ndarray) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(s, q, det) of an entry-major 2x2 stack: its eigenvalues are
+    s +- sqrt(q), q = ((c00 - c11) / 2)^2 + c01 c10 taken from the entries
+    so that q keeps its digits when the two come close."""
+    (c00, c01), (c10, c11) = C
+    return 0.5 * (c00 + c11), (0.5 * (c00 - c11)) ** 2 + c01 * c10, c00 * c11 - c01 * c10
+
+
+def _deflate(E: np.ndarray, r: np.ndarray) -> np.ndarray:
+    """The 2x2 block U^T M U of an entry-major 3x3 stack on the plane
+    orthogonal to a left eigenvector l of its real eigenvalue r. M maps
+    that plane into itself, so the block carries the other two eigenvalues.
+    l is the longest cross product of two columns of M - r I; U holds the
+    last two columns of the Householder reflection taking l to an axis."""
+    K = E - r * np.eye(3)[:, :, np.newaxis]
+    (k00, k01, k02), (k10, k11, k12), (k20, k21, k22) = K
+    c01 = np.array([k10 * k21 - k20 * k11, k20 * k01 - k00 * k21, k00 * k11 - k10 * k01])
+    c02 = np.array([k10 * k22 - k20 * k12, k20 * k02 - k00 * k22, k00 * k12 - k10 * k02])
+    c12 = np.array([k11 * k22 - k21 * k12, k21 * k02 - k01 * k22, k01 * k12 - k11 * k02])
+    n01, n02, n12 = ((c * c).sum(axis=0) for c in (c01, c02, c12))
+    v = np.where(n01 >= np.maximum(n02, n12), c01, np.where(n02 >= n12, c02, c12))
+    v /= np.sqrt((v * v).sum(axis=0))
+    v[0] += np.copysign(1.0, v[0])
+    U = np.eye(3)[:, 1:, np.newaxis] - (2.0 / (v * v).sum(axis=0)) * v[:, np.newaxis] * v[1:]
+    MU = sum(E[:, j, np.newaxis] * U[j] for j in range(3))
+    return sum(U[i, :, np.newaxis] * MU[i] for i in range(3))
+
+
 def _principal_logs(M: np.ndarray, stats: Optional[dict] = None) -> Tuple[np.ndarray, np.ndarray]:
-    """Principal real logs of a stack of square matrices, shape (k, n, n).
+    """Principal real logs of a stack of 2x2 or 3x3 matrices, shape (k, n, n).
 
     Returns (logs, ok). ok[i] is False when the spectrum of M[i] touches the
     closed negative real axis, where no principal branch exists; logs[i] is
-    zero there. One stacked `eig` serves every entry; entries with nearly
-    defective eigenvectors (cond(V) >= 1e8) fall back, one by one, to the
-    Schur-based `scipy.linalg.logm`; their count goes into
-    stats["logm_fallbacks"] when a stats dict is given.
-    """
-    vals, vecs = np.linalg.eig(M)
-    on_axis = (np.abs(vals.imag) <= 1e-12 * np.maximum(1.0, np.abs(vals))) & (vals.real <= 0.0)
-    ok = ~on_axis.any(axis=-1)
-    logs = np.zeros(M.shape)
-    spectral = ok & (np.linalg.cond(vecs) < 1e8)
-    V = vecs[spectral]
-    logs[spectral] = ((V * np.log(vals[spectral])[:, np.newaxis, :]) @ np.linalg.inv(V)).real
-    defective = np.flatnonzero(ok & ~spectral)
-    if stats is not None:
-        stats["logm_fallbacks"] = int(defective.size)
-    if defective.size:
-        import scipy.linalg  # only this rare fallback needs scipy
+    zero there. No eigenvector basis is formed: every log is a polynomial of
+    degree n - 1 in N = M - s I, for s the centre of an eigenvalue pair
+    a, b = s +- sqrt(q), with coefficients from the eigenvalues in closed
+    form, evaluated on entry-major vectors of length k. Each matrix is first
+    divided by a power of two near its largest element.
 
-        for i in defective:
-            logs[i] = np.real(scipy.linalg.logm(M[i]))
-    return logs, ok
+    2x2: log M = (1/2) log det M I + f[a, b] N (_log_slope).
+    3x3: the real eigenvalue r = m + mu, for m = tr M / 3 and mu the
+    dominant root of the characteristic cubic of B = M - m I, and the pair
+    from the 2x2 block left by deflating r (_deflate, one cross product; the
+    cubic alone gives q only to about eps |M|^2, which loses a pair close
+    to the negative axis). In Newton's divided-difference form
+    log M = (1/2) log(a b) I + f[a, b] N + f[a, b, r] (N^2 - q I),
+    where f[a, b, r] is the quotient over the two eigenvalues farthest
+    apart. When all three lie within _CLUSTER m of m, that quotient is near
+    0/0 and the coefficients come from the Taylor series about m instead
+    (_taylor_coeffs, with s = m); stats["clustered"] counts those entries,
+    and the 2x2 entries with a double eigenvalue, when a stats dict is given.
+    """
+    E = np.moveaxis(np.asarray(M, dtype=float), 0, -1)
+    n = E.shape[0]
+    # divide each matrix by the power of two at or above its largest element,
+    # exactly, so that no square or cube below under- or overflows
+    scale = np.ldexp(1.0, np.frexp(np.abs(E).max(axis=(0, 1)))[1])
+    E = E / scale
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        if n == 2:
+            s, q, det = _pair(E)
+            ok = _pair_off_axis(s, q, det, scale)
+            clustered = ok & (q == 0.0)
+            e0, e1 = 0.5 * np.log(det), _log_slope(s, q, det)
+        else:
+            m = np.trace(E) / 3.0
+            B = E - m * np.eye(3)[:, :, np.newaxis]
+            (b00, b01, b02), (b10, b11, b12), (b20, b21, b22) = B
+            P = b00 * b11 + b00 * b22 + b11 * b22 - b01 * b10 - b02 * b20 - b12 * b21
+            Q = -_det3(B)
+            mu = _dominant_root(P, Q)
+            r = m + mu
+            radius = np.maximum(np.abs(mu), 0.5 * np.abs(mu) + np.sqrt(np.abs(P + 0.75 * mu * mu)))
+            clustered = (m > 0.0) & (radius <= _CLUSTER * m)
+            s, q, det = _pair(_deflate(E, r))
+            ok = (r > 0.0) & (_det3(E) > 0.0) & (clustered | _pair_off_axis(s, q, det, scale))
+            clustered &= ok
+            w = np.sqrt(q + 0j)
+            a = s + w
+            b = np.where(q > 0.0, det / a, s - w)  # s - w would cancel a small eigenvalue
+            d_ab, d_ra, d_rb = np.abs(a - b), np.abs(r - a), np.abs(r - b)
+            e1 = _log_slope(s, q, det)
+            f_ra, f_rb = _log_dd(r, a), _log_dd(r, b)
+            e2 = np.where(
+                d_ab >= np.maximum(d_ra, d_rb), (f_rb - f_ra) / (b - a),
+                np.where(d_ra >= d_rb, (e1 - f_rb) / (a - r), (e1 - f_ra) / (b - r)),
+            ).real
+            e0 = 0.5 * np.log(det) - e2 * q
+            if clustered.any():
+                s[clustered] = m[clustered]
+                e0[clustered], e1[clustered], e2[clustered] = _taylor_coeffs(
+                    m[clustered], P[clustered], Q[clustered]
+                )
+        N = E - s * np.eye(n)[:, :, np.newaxis]
+        L = e1 * N
+        if n == 3:
+            L += e2 * sum(N[:, j, np.newaxis] * N[j] for j in range(3))
+        np.einsum("ii...->i...", L)[...] += e0 + np.log(scale)
+    L[..., ~ok] = 0.0
+    if stats is not None:
+        stats["clustered"] = int(np.count_nonzero(clustered))
+    return np.moveaxis(L, -1, 0), ok
 
 
 def _metric_map(S: np.ndarray, p: MetricParams) -> np.ndarray:
@@ -762,12 +935,12 @@ def _logmin_impl(F: np.ndarray, cfg: OracleConfig, p: MetricParams, claim: str) 
     with the closed form dist(F, SO(n)) under p.
 
     Index 0 of the stack is the polar factor, followed by cfg.samples draws
-    from substream(cfg.seed, 0). All Q^T F share one stacked `eig`; samples
-    without a principal log are skipped. The reductions keep sample order:
-    the witness is the first violating sample, or else the first minimizer,
-    and equality with the closed form is judged at the polar factor. The
-    stats give the sample count, the entries skipped (the polar factor
-    included) and the `logm` fallbacks.
+    from substream(cfg.seed, 0). All Q^T F go through _principal_logs in one
+    stack; samples without a principal log are skipped. The reductions keep
+    sample order: the witness is the first violating sample, or else the
+    first minimizer, and equality with the closed form is judged at the
+    polar factor. The stats give the sample count, the entries skipped (the
+    polar factor included) and the clustered entries.
     """
     n = F.shape[0]
     closed = dist_squared_to_SO(F, p).distance

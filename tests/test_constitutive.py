@@ -319,6 +319,15 @@ class TestCauchyStress:
         with pytest.raises(NonPositiveDeterminantError):
             cauchy_stress(np.eye(2), np.diag([1.0, -1.0]))
 
+    @pytest.mark.filterwarnings("error")
+    def test_det_outside_the_double_range(self):
+        # det F = 1e-450 and 1e450: the stress overflows or underflows, never inf or nan
+        tau = np.diag([1.0, 2.0, 3.0])
+        with pytest.raises(OverflowError):
+            cauchy_stress(tau, 1e-150 * np.eye(3))
+        assert np.array_equal(cauchy_stress(tau, 1e150 * np.eye(3)), np.zeros((3, 3)))
+        assert cauchy_stress(tau[:2, :2], 1e-150 * np.eye(2)) == pytest.approx(1e300 * tau[:2, :2], rel=1e-12)
+
 
 class TestFirstPiola:
     def test_identity_hencky(self):
@@ -541,6 +550,12 @@ class TestSymmetryTransforms:
             F = np.diag([lam, mu_lat, 1.0 / (lam * mu_lat)])  # det 1
             for m in (HENCKY, EXP_H):
                 assert shield_transform(m, F) == pytest.approx(energy(m, F), rel=1e-10, abs=1e-12)
+
+    @pytest.mark.filterwarnings("error")
+    def test_shield_with_det_outside_the_double_range(self):
+        with pytest.raises(OverflowError):
+            shield_transform(HENCKY, 1e150 * np.eye(3))
+        assert shield_transform(HENCKY, 1e-150 * np.eye(3)) == 0.0
 
     def test_shield_moves_green_strain_energy(self):
         rng = np.random.default_rng(113)
