@@ -69,10 +69,6 @@ MODEL_KINDS = (
     "exp_hencky",
     "svk",
     "biot_linear",
-    "hill_family",
-    "neo_hooke_linear",
-    "almansi_signorini",
-    "becker_biot",
 )
 
 class UnsupportedModelError(ValueError):
@@ -180,8 +176,6 @@ def energy(model: MaterialModel, F: Mat) -> float:
     ------
     NonPositiveDeterminantError
         If det F <= 0.
-    UnsupportedModelError
-        For model kinds that are stress laws without an energy.
     """
     if model.kind in ("hencky", "exp_hencky"):
         return energy_from_logs(model, np.log(stretch_spectrum(F)[1]).tolist())
@@ -189,13 +183,11 @@ def energy(model: MaterialModel, F: Mat) -> float:
         e = stretch_spectrum(F)[1] - 1.0
         lam = lame_lambda(model, e.size)
         return model.mu * float(e @ e) + 0.5 * lam * float(np.sum(e)) ** 2
-    F = require_gl_plus(F)
-    if model.kind == "svk":
-        n = F.shape[0]
-        E = (F.T @ F - np.eye(n)) / 2.0
-        dev = deviatoric(E)
-        return model.mu * float(np.sum(dev * dev)) + 0.5 * model.kappa * float(np.trace(E)) ** 2
-    raise UnsupportedModelError(f"model kind {model.kind!r} has no energy function")
+    F = require_gl_plus(F)  # svk, the Green-strain energy
+    n = F.shape[0]
+    E = (F.T @ F - np.eye(n)) / 2.0
+    dev = deviatoric(E)
+    return model.mu * float(np.sum(dev * dev)) + 0.5 * model.kappa * float(np.trace(E)) ** 2
 
 
 def kirchhoff_stress(model: MaterialModel, F: Mat) -> Mat:

@@ -236,18 +236,20 @@ def _golden_min(
 
 
 def _compass_min(
-    f: Callable[[np.ndarray], float], x0: np.ndarray, step: float, min_step: float, budget: int
+    f: Callable[[List[float]], float], x0: Sequence[float], step: float, min_step: float,
+    budget: int,
 ) -> Tuple[np.ndarray, float, int]:
-    """Coordinate pattern search; returns (argmin, value, evals used)."""
-    x = np.array(x0, dtype=float)
+    """Coordinate pattern search on Python floats; returns (argmin, value,
+    evals used)."""
+    x = [float(v) for v in x0]
     fx, evals = f(x), 1
     while step > min_step and evals < budget:
         improved = False
-        for i in range(x.size):
+        for i in range(len(x)):
             for s in (step, -step):
                 if evals >= budget:
                     break
-                trial = x.copy()
+                trial = x[:]
                 trial[i] += s
                 ft = f(trial)
                 evals += 1
@@ -257,7 +259,7 @@ def _compass_min(
                     break
         if not improved:
             step *= 0.5
-    return x, fx, evals
+    return np.array(x), fx, evals
 
 
 def _relative_gap(oracle: float, closed: float) -> float:
@@ -415,16 +417,18 @@ def _path_energy(X: np.ndarray, p: MetricParams) -> Tuple[np.ndarray, np.ndarray
 
 def _path_hessian(
     x: np.ndarray, g: np.ndarray, energy: Callable
-) -> Tuple[List[np.ndarray], List[np.ndarray]]:
-    """Diagonal blocks, and the blocks below them, of the Hessian of the
-    path energy at x with gradient g (variables as in _path_objective).
+) -> Tuple[np.ndarray, np.ndarray, Optional[Tuple[float, np.ndarray]]]:
+    """Hessian of the path energy at x with gradient g (variables as in
+    _path_objective): the diagonal blocks of the interior nodes, a stack
+    (N-1, 4, 4), the blocks below them, (N-2, 4, 4), and, with the angle
+    free, its diagonal entry and its 4-vector coupling to interior node 1
+    (else None).
 
     A chord couples only its two end nodes, and the free start angle only
     interior node 1. So with interior node k in colour k mod 3 and the angle
     in colour 0, 12 forward gradient differences, one stacked energy call,
     give every nonzero entry (Curtis, Powell and Reid, IMA J. Appl. Math.
-    1974). The blocks are 4x4 and symmetrized; with the angle free, the
-    first diagonal block is 5x5 and the first one below it 4x5.
+    1974), symmetrized.
     """
     free, n_int = x.size % 4, x.size // 4
     h = (x + 1e-7 * np.maximum(1.0, np.abs(x))) - x
@@ -439,34 +443,63 @@ def _path_hessian(
 
     a = np.arange(n_int)
     on_diag = block(a, a)
-    diag = list(0.5 * (on_diag + on_diag.swapaxes(-1, -2)))
-    sub = list(0.5 * (block(a[1:], a[:-1]) + block(a[:-1], a[1:]).swapaxes(-1, -2)))
-    if free:  # the angle's row and column go first
-        b = 0.5 * (dn[0, 0] / h[0] + dg[group[0], 0] / hn[0])
-        diag[0] = np.block([[dg[0, :1] / h[0], b], [b[:, np.newaxis], diag[0]]])
-        sub[0] = np.pad(sub[0], ((0, 0), (1, 0)))
-    return diag, sub
+    diag = 0.5 * (on_diag + on_diag.swapaxes(-1, -2))
+    sub = 0.5 * (block(a[1:], a[:-1]) + block(a[:-1], a[1:]).swapaxes(-1, -2))
+    angle = None
+    if free:
+        angle = dg[0, 0] / h[0], 0.5 * (dn[0, 0] / h[0] + dg[group[0], 0] / hn[0])
+    return diag, sub, angle
 
 
 def _block_solve(
-    diag: Sequence[np.ndarray], sub: Sequence[np.ndarray], tau: float, r: np.ndarray
+    diag: np.ndarray, sub: np.ndarray, angle: Optional[Tuple[float, np.ndarray]], tau: float,
+    r: np.ndarray,
 ) -> np.ndarray:
-    """Solve A d = r for the symmetric block-tridiagonal A with diagonal
-    blocks diag[k] + tau id and blocks sub[k] below them, by the block
-    Cholesky factorization A = L L^T (O(N) block operations). Raises
-    LinAlgError when A is not positive definite."""
-    shift = tau * np.eye(len(diag[0]))
-    inverses, Cs, ys = [], [], []  # L_k^-1, the blocks C_k below them in L, L^-1 r
-    for k, (D, rk) in enumerate(zip(diag, np.split(r, np.cumsum([len(D) for D in diag[:-1]])))):
-        if k:
-            Cs.append(sub[k - 1] @ inverses[-1].T)
-            D, rk = D - Cs[-1] @ Cs[-1].T, rk - Cs[-1] @ ys[-1]
-        inverses.append(np.linalg.inv(np.linalg.cholesky(D + shift[:len(D), :len(D)])))
-        ys.append(inverses[-1] @ rk)
-    d = [inverses[-1].T @ ys[-1]]
-    for L_inv, C, y in zip(inverses[-2::-1], Cs[::-1], ys[-2::-1]):
-        d.append(L_inv.T @ (y - C.T @ d[-1]))
-    return np.concatenate(d[::-1])
+    """Solve A d = r for the symmetric A of a _path_hessian (diag, sub,
+    angle) shifted by tau id, the angle's row and column first. Raises
+    LinAlgError when A is not positive definite.
+
+    Odd-even block cyclic reduction (Heller, SIAM J. Numer. Anal. 1976):
+    each level eliminates the even-numbered blocks, whose batched Cholesky
+    factors test their positive definiteness, and leaves the Schur
+    complement on the odd ones, again block tridiagonal and half as long.
+    So O(log N) stacked calls do O(N) work. The free angle borders the node
+    system: one reduction solves it for r and for the angle's coupling
+    column, and the angle's scalar Schur complement must be positive.
+    """
+    free = int(angle is not None)
+    D, B = diag + tau * np.eye(4), sub
+    R = r[free:].reshape(-1, 4, 1)
+    if free:
+        R = np.concatenate([R, np.zeros_like(R)], axis=-1)
+        R[0, :, 1] = angle[1]
+    levels = []  # per level: L^-1 of the eliminated blocks, and L^-1 [up | down | R] of their rows
+    while len(D):
+        kept, below = len(D) // 2, (len(D) - 1) // 2  # kept blocks; those with one eliminated below
+        L_inv = np.linalg.inv(np.linalg.cholesky(D[0::2]))
+        C = np.zeros(L_inv.shape[:2] + (8 + R.shape[-1],))
+        C[1:, :, :4], C[:kept, :, 4:8], C[..., 8:] = B[1::2], B[0::2].swapaxes(-1, -2), R[0::2]
+        W = L_inv @ C
+        G = W.swapaxes(-1, -2) @ W
+        levels.append((L_inv, W))
+        D, R, B = D[1::2] - G[:kept, 4:8, 4:8], R[1::2] - G[:kept, 4:8, 8:], -G[1:kept, 4:8, :4]
+        D[:below] -= G[1:, :4, :4]
+        R[:below] -= G[1:, :4, 8:]
+    X = R
+    for L_inv, W in reversed(levels):  # back substitution, coarsest level first
+        N = np.zeros((len(W), 8, X.shape[-1]))  # the kept neighbours above and below
+        N[1:, :4], N[:len(X), 4:] = X[:len(W) - 1], X
+        X_all = np.empty((len(W) + len(X),) + X.shape[1:])
+        X_all[0::2], X_all[1::2] = L_inv.swapaxes(-1, -2) @ (W[..., 8:] - W[..., :8] @ N), X
+        X = X_all
+    if not free:
+        return X.reshape(-1)
+    y, z = X[..., 0].reshape(-1), X[..., 1].reshape(-1)
+    s = angle[0] + tau - angle[1] @ z[:4]
+    if not s > 0.0:
+        raise np.linalg.LinAlgError("the angle's Schur complement is not positive")
+    d0 = (r[0] - angle[1] @ y[:4]) / s
+    return np.concatenate([[d0], y - d0 * z])
 
 
 def _newton(
@@ -494,20 +527,21 @@ def _newton(
         if stats["evaluations"] + 12 > max_evals:
             stats["stop"] = "evaluations"
             return
-        diag, sub = _path_hessian(x, g, energy)
+        diag, sub, angle = _path_hessian(x, g, energy)
         stats["evaluations"] += 12
         # carry a quarter of tau over until it reaches the floor; searching
         # afresh on each step costs more failed factorizations
         tau = 0.25 * tau if tau > floor else 0.0
         while True:
             try:
-                d = _block_solve(diag, sub, tau, -g)
+                d = _block_solve(diag, sub, angle, tau, -g)
                 break
             except np.linalg.LinAlgError:
                 stats["shifts"] += 1
                 # a floor near 1e-3 of the diagonal made the steps crawl along
                 # nearly flat directions (pinned paths to F near id)
-                floor = 1e-8 * max(float(np.max(np.abs(np.diagonal(D)))) for D in diag)
+                top = np.max(np.abs(np.diagonal(diag, axis1=1, axis2=2)))
+                floor = 1e-8 * float(max(top, abs(angle[0]) if angle else 0.0))
                 tau = max(2.0 * tau, floor)
         slope, alpha = float(g @ d), 1.0
         # roundoff of E, a sum of 16N positive terms, is about 16N ulps

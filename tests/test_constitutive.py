@@ -193,10 +193,6 @@ class TestEnergy:
         with pytest.raises(NonPositiveDeterminantError):
             energy(HENCKY, np.diag([1.0, -2.0, 1.0]))
 
-    def test_stress_law_kinds_have_no_energy(self):
-        with pytest.raises(UnsupportedModelError):
-            energy(MaterialModel(kind="becker_biot"), np.eye(3))
-
     def test_linearization_order(self):
         # the quadratic form in the displacement gradient is the exact
         # second-order expansion, so the defect drops at third order

@@ -417,8 +417,9 @@ class TestPathKernels:
             assert np.max(np.abs(grads[idx] - grad)) <= 1e-13 * np.max(np.abs(grad))
 
 
-def assemble(diag, sub):
-    """The dense symmetric matrix of block-tridiagonal blocks."""
+def assemble_lists(diag, sub):
+    """The dense symmetric matrix of lists of diagonal blocks and of the
+    blocks below them, of any square sizes."""
     offsets = np.cumsum([0] + [D.shape[0] for D in diag])
     A = np.zeros((offsets[-1], offsets[-1]))
     for k, D in enumerate(diag):
@@ -427,6 +428,28 @@ def assemble(diag, sub):
         A[offsets[k + 1]:offsets[k + 2], offsets[k]:offsets[k + 1]] = B
         A[offsets[k]:offsets[k + 1], offsets[k + 1]:offsets[k + 2]] = B.T
     return A
+
+
+def assemble(diag, sub, angle=None):
+    """The dense symmetric matrix of the Hessian stacks of _path_hessian,
+    the angle's row and column first."""
+    A = assemble_lists(diag, sub)
+    if angle is not None:
+        A = np.pad(A, ((1, 0), (1, 0)))
+        A[0, 0] = angle[0]
+        A[0, 1:5] = A[1:5, 0] = angle[1]
+    return A
+
+
+def spd_block_system(rng, blocks, free):
+    """Stacks of a random SPD block-tridiagonal matrix, well conditioned."""
+    M = rng.standard_normal((4 * blocks + free,) * 2)
+    A = M @ M.T + 4 * blocks * np.eye(4 * blocks + free)
+    diag = np.stack([A[free + 4 * k:free + 4 * k + 4, free + 4 * k:free + 4 * k + 4]
+                     for k in range(blocks)])
+    sub = np.array([A[free + 4 * k + 4:free + 4 * k + 8, free + 4 * k:free + 4 * k + 4]
+                    for k in range(blocks - 1)]).reshape(-1, 4, 4)
+    return diag, sub, (A[0, 0], A[1:5, 0].copy()) if free else None
 
 
 class TestNewtonKernels:
@@ -440,25 +463,65 @@ class TestNewtonKernels:
         x = x0 + 0.05 * np.random.default_rng(79).standard_normal(x0.size)
         assert _in_gl_plus(nodes_of(x))
         value, g = energy(x)
-        diag, sub = _path_hessian(x, g, energy)
-        assert [D.shape for D in diag] == [(4 + (not pinned),) * 2] + [(4, 4)] * (n_seg - 2)
+        diag, sub, angle = _path_hessian(x, g, energy)
+        assert diag.shape == (n_seg - 1, 4, 4) and sub.shape == (n_seg - 2, 4, 4)
+        assert (angle is None) == pinned
         dense = central_differences(lambda y: energy(y)[1], x, h=1e-5)
-        coloured = assemble(diag, sub)
+        coloured = assemble(diag, sub, angle)
         assert np.max(np.abs(coloured - dense)) <= 1e-6 * np.max(np.abs(dense))
+        # entry for entry the layout of lists of blocks with the angle's row
+        # and column in a 5x5 first block and a 4x5 first block below it
+        blocks, below = list(diag), list(sub)
+        if not pinned:
+            a, b = angle
+            blocks[0] = np.block([[np.array([[a]]), b[np.newaxis]], [b[:, np.newaxis], diag[0]]])
+            below[0] = np.pad(sub[0], ((0, 0), (1, 0)))
+        assert np.array_equal(coloured, assemble_lists(blocks, below))
 
-    @pytest.mark.parametrize("first", [4, 5])
-    def test_block_solve_matches_dense_solve(self, first):
-        rng = np.random.default_rng(83 + first)
-        sizes = [first] + [4] * 7
-        diag = [M @ M.T for M in (rng.standard_normal((k, k)) for k in sizes)]
-        sub = [rng.standard_normal((4, k)) for k in sizes[:-1]]
-        A = assemble(diag, sub)
+    @pytest.mark.parametrize("free", [0, 1], ids=["pinned", "free"])
+    @pytest.mark.parametrize("blocks", [1, 2, 3, 4, 7, 8, 33])
+    def test_block_solve_matches_dense_solve(self, blocks, free):
+        rng = np.random.default_rng(83 + 2 * blocks + free)
+        diag, sub, angle = spd_block_system(rng, blocks, free)
+        A = assemble(diag, sub, angle)
         r = rng.standard_normal(A.shape[0])
-        with pytest.raises(np.linalg.LinAlgError):  # indefinite without a shift
-            _block_solve(diag, sub, 0.0, r)
-        tau = 1.0 - np.linalg.eigvalsh(A)[0]
-        d = _block_solve(diag, sub, tau, r)
+        for tau in (0.0, 0.5):
+            d = _block_solve(diag, sub, angle, tau, r)
+            expect = np.linalg.solve(A + tau * np.eye(A.shape[0]), r)
+            assert np.max(np.abs(d - expect)) <= 1e-12 * np.max(np.abs(expect))
+
+    @pytest.mark.parametrize("free", [0, 1], ids=["pinned", "free"])
+    def test_block_solve_finds_an_indefinite_block_at_a_deeper_level(self, free):
+        # the first level eliminates the even blocks, which are SPD; the odd
+        # blocks' Schur complement is not, so only a later level can fail
+        rng = np.random.default_rng(89 + free)
+        diag, sub, angle = spd_block_system(rng, 8, free)
+        diag[1::2] -= 3.0 * np.abs(assemble(diag, sub)).sum(axis=1).max() * np.eye(4)
+        assert np.all(np.linalg.eigvalsh(diag[0::2]) > 0.0)
+        A = assemble(diag, sub, angle)
+        assert np.linalg.eigvalsh(A)[0] < 0.0
+        with pytest.raises(np.linalg.LinAlgError):
+            _block_solve(diag, sub, angle, 0.0, rng.standard_normal(A.shape[0]))
+        tau = 1.0 - np.linalg.eigvalsh(A)[0]  # the shift that makes it SPD solves
+        r = rng.standard_normal(A.shape[0])
         expect = np.linalg.solve(A + tau * np.eye(A.shape[0]), r)
+        d = _block_solve(diag, sub, angle, tau, r)
+        assert np.max(np.abs(d - expect)) <= 1e-12 * np.max(np.abs(expect))
+
+    def test_block_solve_rejects_a_nonpositive_angle_schur_complement(self):
+        rng = np.random.default_rng(97)
+        diag, sub, (a, b) = spd_block_system(rng, 5, 1)
+        nodes = assemble(diag, sub)
+        assert np.linalg.eigvalsh(nodes)[0] > 0.0
+        z = np.linalg.solve(nodes, np.concatenate([b, np.zeros(16)]))
+        schur = b @ z[:4]  # the angle entry at which the complement vanishes
+        r = rng.standard_normal(21)
+        for angle_entry in ((1.0 - 1e-9) * schur, 0.5 * schur):
+            with pytest.raises(np.linalg.LinAlgError):
+                _block_solve(diag, sub, (angle_entry, b), 0.0, r)
+        d = _block_solve(diag, sub, (2.0 * schur, b), 0.0, r)
+        A = assemble(diag, sub, (2.0 * schur, b))
+        expect = np.linalg.solve(A, r)
         assert np.max(np.abs(d - expect)) <= 1e-12 * np.max(np.abs(expect))
 
 
