@@ -392,19 +392,20 @@ def path_rows(mode: DeformationMode, model: MaterialModel) -> List[Tuple[float, 
 # ---------------------------------------------------------------------------
 
 def measure_payload(F: np.ndarray, p: MetricParams) -> dict:
-    """Every field from one SVD F = A diag(s) B^T (geodesy's closed forms)."""
-    A, s, B = stretch_spectrum(F)
-    logs = np.log(s)
-    iso2, tr = log_invariants(logs.tolist())
+    """Every field from geodesy's closed forms and the polar factors, which
+    share one SVD F = A diag(s) B^T through the stretch-spectrum memo."""
+    _, s, B = stretch_spectrum(F)
+    pol = polar_decompose(F)
     return {
-        "omega_iso": math.sqrt(iso2),
-        "omega_vol": abs(tr),
-        "dist_squared_geod": p.mu * iso2 + 0.5 * p.kappa * tr * tr,
+        "omega_iso": omega_iso(F),
+        "omega_vol": omega_vol(F),
+        "dist_squared_geod": dist_squared_to_SO(F, p).squared_distance,
+        # ||s - 1|| itself: euclid_dist_to_SO's sqrt(d * d) may move the last bit
         "dist_euclid": float(np.linalg.norm(s - 1.0)),
-        "rotation": (A @ B.T).tolist(),
-        "right_stretch": sym_part(B @ (s[:, None] * B.T)).tolist(),
-        "left_stretch": sym_part(A @ (s[:, None] * A.T)).tolist(),
-        "log_right_stretch": sym_part(B @ (logs[:, None] * B.T)).tolist(),
+        "rotation": pol.rotation.tolist(),
+        "right_stretch": pol.right_stretch.tolist(),
+        "left_stretch": pol.left_stretch.tolist(),
+        "log_right_stretch": sym_part(B @ (np.log(s)[:, None] * B.T)).tolist(),
     }
 
 

@@ -29,6 +29,7 @@ from .matcore import (
     ParameterOutOfRangeError,
     as_square,
     deviatoric,
+    gl_plus_log_det,
     log_invariants,
     principal_log_spd,
     require_gl_plus,
@@ -213,24 +214,19 @@ def kirchhoff_stress(model: MaterialModel, F: Mat) -> Mat:
     return sym_part(A @ (tau[:, None] * A.T))
 
 
-def _det_power(F: Mat, power: float) -> float:
-    """(det F)^power for F in GL+, from ``np.linalg.slogdet`` through
-    math.exp: OverflowError when it exceeds the double range, 0.0 when it
-    underflows (det F itself may do either, e.g. at 1e-150 id in 3D)."""
-    return math.exp(power * float(np.linalg.slogdet(F)[1]))
-
-
 def cauchy_stress(tau: Mat, F: Mat) -> Mat:
     """Cauchy stress from a Kirchhoff stress: sigma = tau / det F.
 
-    Raises OverflowError when 1 / det F or the stress leaves the double
-    range; a stress that underflows is 0.
+    1 / det F comes from log det F through math.exp, so it stays right where
+    det F itself under- or overflows (1e-150 id in 3D).  Raises OverflowError
+    when 1 / det F or the stress leaves the double range; a stress that
+    underflows is 0.
     """
     tau = as_square(tau, "tau")
-    F = require_gl_plus(F)
+    _, log_det = gl_plus_log_det(F)
     with np.errstate(over="ignore"):
-        sigma = tau * _det_power(F, -1.0)
-    if not np.all(np.isfinite(sigma)):
+        sigma = tau * math.exp(-log_det)
+    if not np.isfinite(sigma).all():
         raise OverflowError("Cauchy stress overflows double precision")
     return sigma
 
@@ -362,11 +358,12 @@ def coaxial_lograte_check(path: "list[MotionSample]") -> float:
 def shield_transform(model: MaterialModel, F: Mat) -> float:
     """Shield's transformation W*(F) = det F * W(F^{-1}) of the model's energy.
 
-    Raises OverflowError when det F or the result leaves the double range;
-    a result that underflows is 0.
+    det F comes from log det F through math.exp.  Raises OverflowError when
+    det F or the result leaves the double range; a result that underflows
+    is 0.
     """
-    F = require_gl_plus(F)
-    value = _det_power(F, 1.0) * energy(model, np.linalg.inv(F))
+    F, log_det = gl_plus_log_det(F)
+    value = math.exp(log_det) * energy(model, np.linalg.inv(F))
     if not math.isfinite(value):
         raise OverflowError("Shield transform overflows double precision")
     return value

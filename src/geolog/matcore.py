@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Sequence
 
 import numpy as np
@@ -53,16 +54,17 @@ def as_square(X: "Mat | list", name: str = "matrix") -> Mat:
     A = np.asarray(X, dtype=float)
     if A.ndim != 2 or A.shape[0] != A.shape[1]:
         raise ValueError(f"{name} must be square, got shape {A.shape}")
-    if not np.all(np.isfinite(A)):
+    if not np.isfinite(A).all():
         raise ValueError(f"{name} has non-finite entries")
     return A
 
 
-def require_gl_plus(F: "Mat | list", name: str = "F") -> Mat:
-    """Coerce to a square finite float array with positive determinant.
+def gl_plus_log_det(F: "Mat | list", name: str = "F") -> tuple[Mat, float]:
+    """Coerce to a square finite float array with positive determinant, and
+    return it with log det F.
 
-    The sign of det F comes from ``np.linalg.slogdet``, which carries log |det F|
-    and so neither underflows (1e-150 id in 3D) nor overflows (1e150 id).
+    Both the sign and log |det F| come from one ``np.linalg.slogdet``, which
+    neither underflows (1e-150 id in 3D) nor overflows (1e150 id).
 
     Raises
     ------
@@ -70,10 +72,16 @@ def require_gl_plus(F: "Mat | list", name: str = "F") -> Mat:
         If det F <= 0.
     """
     F = as_square(F, name)
-    sign = np.linalg.slogdet(F)[0]
+    sign, log_det = np.linalg.slogdet(F)
     if sign <= 0.0:
         raise NonPositiveDeterminantError(f"det {name} {'= 0' if sign == 0.0 else '< 0'} is not positive")
-    return F
+    return F, float(log_det)
+
+
+def require_gl_plus(F: "Mat | list", name: str = "F") -> Mat:
+    """Coerce to a square finite float array with positive determinant (the
+    rule of :func:`gl_plus_log_det`, whose errors apply)."""
+    return gl_plus_log_det(F, name)[0]
 
 
 def _tol(rel: float, *mats: Mat) -> float:
@@ -214,6 +222,11 @@ def stretch_spectrum(F: Mat) -> tuple[Mat, np.ndarray, Mat]:
     det F > 0 and the condition number bounded, det(A B^T) = +1, so A B^T is
     a rotation.
 
+    The spectrum of the last F is remembered, keyed on its shape and bytes,
+    so the closed forms evaluated one after another on one F share one SVD.
+    A, s and B are therefore read-only; an F changed in place, or any other
+    F, is decomposed afresh and checked again.  Errors are never remembered.
+
     Raises
     ------
     NonPositiveDeterminantError
@@ -221,11 +234,22 @@ def stretch_spectrum(F: Mat) -> tuple[Mat, np.ndarray, Mat]:
     SingularMatrixError
         If s[0] / s[-1], the condition number, exceeds ``COND_LIMIT``.
     """
+    F = np.asarray(F, dtype=float)
+    return _spectrum_of(F.tobytes(), F.shape)
+
+
+# One entry: the closed forms of one F run back to back, and a longer memory
+# would serve repeats of earlier inputs from a table.
+@lru_cache(maxsize=1)
+def _spectrum_of(key: bytes, shape: tuple[int, ...]) -> tuple[Mat, np.ndarray, Mat]:
+    F = np.frombuffer(key).reshape(shape)
     A, s, Bt = np.linalg.svd(require_gl_plus(F))
     if s[-1] <= 0.0 or s[0] / s[-1] > COND_LIMIT:
         raise SingularMatrixError(
             f"condition number {s[0] / max(s[-1], 1e-300):.3e} exceeds {COND_LIMIT:g}"
         )
+    for X in (A, s, Bt):
+        X.setflags(write=False)
     return A, s, Bt.T
 
 

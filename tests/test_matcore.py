@@ -19,6 +19,8 @@ from geolog.matcore import (
     NotSPDError,
     ParameterOutOfRangeError,
     SingularMatrixError,
+    _spectrum_of,
+    gl_plus_log_det,
     is_rotation,
     is_skew,
     is_spd,
@@ -258,6 +260,105 @@ class TestPositiveDeterminantGate:
     def test_returns_the_float_array(self):
         F = require_gl_plus([[2, 0], [0, 3]])
         assert F.dtype == float and np.array_equal(F, np.diag([2.0, 3.0]))
+
+    def test_log_det_comes_with_the_array(self):
+        F, log_det = gl_plus_log_det([[2, 1], [0, 3]])
+        assert F.dtype == float and log_det == pytest.approx(math.log(6.0), rel=1e-15)
+        # 1e-150 id: det F underflows, its logarithm does not
+        assert gl_plus_log_det(1e-150 * np.eye(3))[1] == np.linalg.slogdet(1e-150 * np.eye(3))[1]
+        with pytest.raises(NonPositiveDeterminantError, match="det G < 0"):
+            gl_plus_log_det(np.diag([1.0, -2.0]), "G")
+
+
+@pytest.fixture
+def linalg_calls(monkeypatch):
+    """Count np.linalg.svd and np.linalg.slogdet calls, starting from an empty memo."""
+    calls = {"svd": 0, "slogdet": 0}
+
+    def counting(name):
+        real = getattr(np.linalg, name)
+
+        def counted(*args, **kwargs):
+            calls[name] += 1
+            return real(*args, **kwargs)
+
+        return counted
+
+    for name in calls:
+        monkeypatch.setattr(np.linalg, name, counting(name))
+    _spectrum_of.cache_clear()
+    return calls
+
+
+class TestSpectrumMemo:
+    F = np.array([[1.5, 0.4], [-0.2, 0.8]])
+
+    def test_a_hit_makes_no_svd_or_slogdet_call(self, linalg_calls):
+        first = stretch_spectrum(self.F)
+        assert linalg_calls == {"svd": 1, "slogdet": 1}
+        # the key is the content, so an equal copy hits too
+        again = stretch_spectrum(self.F.copy())
+        assert linalg_calls == {"svd": 1, "slogdet": 1}
+        assert all(x is y for x, y in zip(first, again))
+
+    def test_is_the_svd_of_F_bit_for_bit(self):
+        _spectrum_of.cache_clear()
+        A, s, B = stretch_spectrum(self.F)
+        A0, s0, Bt0 = np.linalg.svd(self.F)
+        assert np.array_equal(A, A0) and np.array_equal(s, s0) and np.array_equal(B, Bt0.T)
+
+    def test_returned_arrays_are_read_only(self):
+        for X in stretch_spectrum(self.F):
+            assert not X.flags.writeable
+            with pytest.raises(ValueError):
+                X[(0,) * X.ndim] = 0.0
+
+    def test_F_changed_in_place_is_decomposed_again(self, linalg_calls):
+        F = self.F.copy()
+        before = stretch_spectrum(F)[1].copy()
+        F[0, 0] = 3.0
+        after = stretch_spectrum(F)[1]
+        assert linalg_calls["svd"] == 2
+        assert np.array_equal(after, np.linalg.svd(F, compute_uv=False))
+        assert not np.array_equal(after, before)
+
+    def test_negative_determinant_is_not_remembered(self, linalg_calls):
+        for _ in range(2):
+            with pytest.raises(NonPositiveDeterminantError):
+                stretch_spectrum(np.diag([1.0, -2.0]))
+        assert linalg_calls == {"svd": 0, "slogdet": 2}
+
+    def test_non_finite_F_raises_right_after_a_valid_call(self):
+        stretch_spectrum(self.F)
+        bad = self.F.copy()
+        bad[1, 1] = np.nan
+        with pytest.raises(ValueError, match="non-finite"):
+            stretch_spectrum(bad)
+        bad[1, 1] = np.inf
+        with pytest.raises(ValueError, match="non-finite"):
+            stretch_spectrum(bad)
+
+    def test_ill_conditioned_F_is_not_remembered(self, linalg_calls):
+        for _ in range(2):
+            with pytest.raises(SingularMatrixError):
+                stretch_spectrum(np.diag([1.0, 1e-15]))
+        assert linalg_calls["svd"] == 2
+
+    @pytest.mark.parametrize("shape", [(4,), (1, 4)])
+    def test_shape_is_part_of_the_key(self, shape):
+        stretch_spectrum(self.F)
+        with pytest.raises(ValueError, match="must be square"):
+            stretch_spectrum(self.F.reshape(shape))
+
+    def test_views_give_the_bits_of_their_contiguous_copy(self):
+        big = np.random.default_rng(5).uniform(-1.0, 1.0, size=(6, 6)) + 2.0 * np.eye(6)
+        for view in (self.F.T, big[::2, ::2], np.asfortranarray(big[:3, :3])):
+            assert not view.flags.c_contiguous
+            _spectrum_of.cache_clear()
+            from_view = stretch_spectrum(view)
+            _spectrum_of.cache_clear()
+            from_copy = stretch_spectrum(np.ascontiguousarray(view))
+            assert all(np.array_equal(x, y) for x, y in zip(from_view, from_copy))
 
 
 class TestSqrtSpd:

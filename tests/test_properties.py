@@ -1,0 +1,148 @@
+"""Property tests of the closed forms on hard inputs.
+
+The closed forms share one SVD per F through the stretch-spectrum memo
+(matcore._spectrum_of). Whether a call finds the spectrum remembered, finds
+it forgotten, or follows a call on another F, it must return the same bits.
+The draws cover generic F, repeated singular values, F near a rotation and
+F scaled by 1e+-150, in two and three dimensions.
+"""
+
+import math
+
+import numpy as np
+import pytest
+
+from geolog.constitutive import (
+    MaterialModel,
+    cauchy_stress,
+    energy,
+    kirchhoff_stress,
+    shield_transform,
+)
+from geolog.geodesy import (
+    cofactor,
+    dist_cof_squared_to_SO,
+    dist_squared_to_SO,
+    euclid_dist_to_SO,
+    omega_iso,
+    omega_vol,
+)
+from geolog.matcore import MetricParams, _spectrum_of, polar_decompose
+
+METRIC = MetricParams(mu=2.0, mu_c=1.0, kappa=0.5)
+HENCKY = MaterialModel(kind="hencky", mu=0.5, kappa=1.5)
+EXP_HENCKY = MaterialModel(kind="exp_hencky", mu=0.5, kappa=1.5, k=0.8, khat=0.3)
+BIOT = MaterialModel(kind="biot_linear", mu=0.5, kappa=1.5)
+
+
+def _report(r):
+    return r.squared_distance, r.minimizer
+
+
+def _polar(pol):
+    return pol.rotation, pol.right_stretch, pol.left_stretch
+
+
+CLOSED_FORMS = {
+    "dist_squared_to_SO": lambda F: _report(dist_squared_to_SO(F, METRIC)),
+    "omega_iso": omega_iso,
+    "omega_vol": omega_vol,
+    "euclid_dist_to_SO": lambda F: _report(euclid_dist_to_SO(F)),
+    "dist_cof_squared_to_SO": lambda F: dist_cof_squared_to_SO(F, METRIC),
+    "cofactor": cofactor,
+    "polar_decompose": lambda F: _polar(polar_decompose(F)),
+    "energy.hencky": lambda F: energy(HENCKY, F),
+    "energy.exp_hencky": lambda F: energy(EXP_HENCKY, F),
+    "energy.biot_linear": lambda F: energy(BIOT, F),
+    "kirchhoff.hencky": lambda F: kirchhoff_stress(HENCKY, F),
+    "kirchhoff.exp_hencky": lambda F: kirchhoff_stress(EXP_HENCKY, F),
+    "cauchy.hencky": lambda F: cauchy_stress(kirchhoff_stress(HENCKY, F), F),
+    "shield.hencky": lambda F: shield_transform(HENCKY, F),
+}
+
+
+def _bits(value):
+    """The exact bits of a result: a float, an array or a tuple of them."""
+    if isinstance(value, tuple):
+        return tuple(_bits(v) for v in value)
+    return np.asarray(value, dtype=float).tobytes()
+
+
+def _outcome(form, F):
+    """The bits of form(F), or the named error it raised."""
+    try:
+        return _bits(form(F))
+    except (ValueError, OverflowError) as exc:
+        return type(exc).__name__, str(exc)
+
+
+def _rotation(n, angles):
+    if n == 2:
+        c, s = math.cos(angles[0]), math.sin(angles[0])
+        return np.array([[c, -s], [s, c]])
+    axis = np.array([math.cos(angles[1]) * math.sin(angles[2]),
+                     math.sin(angles[1]) * math.sin(angles[2]),
+                     math.cos(angles[2])])
+    K = np.array([[0.0, -axis[2], axis[1]], [axis[2], 0.0, -axis[0]], [-axis[1], axis[0], 0.0]])
+    return np.eye(3) + math.sin(angles[0]) * K + (1.0 - math.cos(angles[0])) * (K @ K)
+
+
+def _hard_F(kind, n, entries, angles, stretches, exponent):
+    """One F of the given kind from the drawn numbers (see the module docstring)."""
+    P, Q = _rotation(n, angles[:3]), _rotation(n, angles[3:])
+    if kind == "generic":
+        return np.array(entries[: n * n]).reshape(n, n) + 2.5 * np.eye(n)
+    if kind == "repeated":
+        s = [stretches[0], stretches[0], stretches[2]][:n]
+        return P @ np.diag(s) @ Q.T
+    if kind == "near_rotation":
+        return P + 1e-6 * np.array(entries[: n * n]).reshape(n, n)
+    return 10.0 ** exponent * (P @ np.diag(stretches[:n]) @ Q.T)  # "scaled"
+
+
+def test_closed_forms_of_one_F_share_one_svd(monkeypatch):
+    calls = []
+    real_svd = np.linalg.svd
+
+    def counted_svd(*args, **kwargs):
+        calls.append(args)
+        return real_svd(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", counted_svd)
+    _spectrum_of.cache_clear()
+    F = np.array([[1.2, 0.3, -0.1], [0.2, 0.9, 0.4], [0.05, -0.3, 1.4]])
+    for name, form in CLOSED_FORMS.items():
+        if name != "shield.hencky":  # decomposes F^{-1}, another matrix
+            form(F)
+    assert len(calls) == 1
+
+
+def test_closed_forms_give_the_same_bits_on_a_hit_a_miss_and_after_another_F():
+    pytest.importorskip("hypothesis")
+    from hypothesis import given, settings, strategies as st
+
+    unit = st.floats(-1.0, 1.0, allow_nan=False, allow_subnormal=False)
+
+    @settings(derandomize=True, max_examples=80, deadline=None, database=None)
+    @given(
+        st.sampled_from(("generic", "repeated", "near_rotation", "scaled")),
+        st.sampled_from((2, 3)),
+        st.lists(unit, min_size=9, max_size=9),
+        st.lists(st.floats(-math.pi, math.pi), min_size=6, max_size=6),
+        st.lists(st.floats(0.2, 5.0), min_size=3, max_size=3),
+        st.sampled_from((-150, 150)),
+    )
+    def check(kind, n, entries, angles, stretches, exponent):
+        F = _hard_F(kind, n, entries, angles, stretches, exponent)
+        other = 2.0 * F + np.eye(n)
+        for name, form in CLOSED_FORMS.items():
+            _spectrum_of.cache_clear()
+            miss = _outcome(form, F)
+            _outcome(form, F.copy())  # remembers F's spectrum, unless F is rejected
+            hit = _outcome(form, F)
+            _outcome(form, other)
+            after_other = _outcome(form, F)
+            assert hit == miss, (name, kind, F.tolist())
+            assert after_other == miss, (name, kind, F.tolist())
+
+    check()
