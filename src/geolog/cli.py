@@ -65,7 +65,6 @@ from .oracle import (
     substream,
     weighted_logmin_oracle,
     _path_activity,
-    _relative_gap,
 )
 
 EXIT_OK = 0
@@ -149,7 +148,6 @@ class FitProblem:
     mode_kind: str
     stress_kind: str
     model_kind: str
-    free_parameters: Tuple[str, ...]
     seed: int = 0
     max_iters: int = 20000
 
@@ -503,20 +501,6 @@ def _suite_logmin(dim: int, cfg: OracleConfig) -> List[OracleVerdict]:
     return claims
 
 
-def _verdict(claim: str, closed: float, oracle: float, tol: float,
-             passed: Optional[bool] = None, witness: Optional[np.ndarray] = None) -> OracleVerdict:
-    if passed is None:
-        passed = abs(oracle - closed) <= tol
-    return OracleVerdict(
-        claim=claim,
-        closed_form_value=closed,
-        oracle_value=oracle,
-        relative_gap=_relative_gap(oracle, closed),
-        passed=passed,
-        witness=witness,
-    )
-
-
 def _suite_symmetry(dim: int, cfg: OracleConfig, p: MetricParams) -> List[OracleVerdict]:
     rng = substream(cfg.seed, 4)
     worst = 0.0
@@ -526,9 +510,9 @@ def _suite_symmetry(dim: int, cfg: OracleConfig, p: MetricParams) -> List[Oracle
         d2 = dist_squared_to_SO(np.linalg.inv(F), p).squared_distance
         worst = max(worst, abs(d1 - d2) / max(1.0, d1))
     claims = [
-        _verdict(
+        OracleVerdict.of(
             f"inverse symmetry of the squared geodesic measure ({cfg.samples} draws)",
-            0.0, worst, 1e-10,
+            0.0, worst, worst <= 1e-10,
         )
     ]
     witness = np.diag([2.0, 1.0, 1.0])
@@ -537,9 +521,9 @@ def _suite_symmetry(dim: int, cfg: OracleConfig, p: MetricParams) -> List[Oracle
         - euclid_dist_to_SO(np.linalg.inv(witness)).distance
     )
     claims.append(
-        _verdict(
+        OracleVerdict.of(
             "euclidean measure breaks inverse symmetry at diag(2,1,1): gap is 1/2",
-            0.5, gap, 1e-12,
+            0.5, gap, abs(gap - 0.5) <= 1e-12,
         )
     )
     for kind in ("hencky", "exp_hencky", "svk"):
@@ -547,14 +531,13 @@ def _suite_symmetry(dim: int, cfg: OracleConfig, p: MetricParams) -> List[Oracle
         report = tension_compression_check(model, samples=cfg.samples, seed=cfg.seed)
         expect_symmetric = kind != "svk"
         claims.append(
-            _verdict(
+            OracleVerdict.of(
                 f"tension-compression symmetry of {kind}"
                 + ("" if expect_symmetric else " (expected to fail)"),
                 0.0,
                 report.max_gap,
-                1e-10,
-                passed=report.symmetric == expect_symmetric,
-                witness=report.witness,
+                report.symmetric == expect_symmetric,
+                report.witness,
             )
         )
     return claims
@@ -605,7 +588,7 @@ def _suite_rates() -> List[OracleVerdict]:
         else:
             residual = coaxial_lograte_check(path)
             claim = f"coaxial log-stretch rate identity, {label} (1000 steps)"
-        claims.append(_verdict(claim, 0.0, residual, 1e-5))
+        claims.append(OracleVerdict.of(claim, 0.0, residual, residual <= 1e-5))
     return claims
 
 
@@ -637,12 +620,13 @@ def _suite_log_rules(dim: int, cfg: OracleConfig) -> List[OracleVerdict]:
         both = principal_log_spd(sym_part(Q @ np.diag(d1 * d2) @ Q.T))
         split = principal_log_spd(sym_part(U1)) + principal_log_spd(sym_part(U2))
         w_add = max(w_add, float(np.max(np.abs(both - split))))
-    return [
-        _verdict("det of exp equals exp of trace", 0.0, w_det, 1e-10),
-        _verdict("exp of the deviator equals det-normalized exp", 0.0, w_dev, 1e-10),
-        _verdict("log of scaled/unimodular stretches splits off the volume", 0.0, w_scale, 1e-10),
-        _verdict("coaxial log additivity", 0.0, w_add, 1e-10),
-    ]
+    rules = (
+        ("det of exp equals exp of trace", w_det),
+        ("exp of the deviator equals det-normalized exp", w_dev),
+        ("log of scaled/unimodular stretches splits off the volume", w_scale),
+        ("coaxial log additivity", w_add),
+    )
+    return [OracleVerdict.of(claim, 0.0, w, w <= 1e-10) for claim, w in rules]
 
 
 def _suite_rank_one(cfg: OracleConfig) -> List[OracleVerdict]:
@@ -669,12 +653,9 @@ def _suite_rank_one(cfg: OracleConfig) -> List[OracleVerdict]:
                 continue
             worst = min(worst, float(np.min(np.diff(vals, 2))))
         claims.append(
-            _verdict(
+            OracleVerdict.of(
                 f"planar rank-one second differences stay nonnegative (k={k})",
-                0.0,
-                worst,
-                math.inf,
-                passed=worst >= -1e-8,
+                0.0, worst, worst >= -1e-8,
             )
         )
     return claims
@@ -987,7 +968,6 @@ def _cmd_fit(args: argparse.Namespace, out: TextIO) -> int:
         mode_kind=args.mode,
         stress_kind=args.stress,
         model_kind=args.model,
-        free_parameters=_FREE_PARAMETERS.get(args.model, ()),
         seed=args.seed,
         max_iters=args.max_iters,
     )

@@ -370,63 +370,24 @@ def mat_exp(X: Mat) -> Mat:
     return E
 
 
-def _rotation_log_2d(Q: Mat) -> Mat:
-    theta = math.atan2(Q[1, 0], Q[0, 0])
-    if abs(abs(theta) - math.pi) <= 1e-10:
-        raise AngleAtPiError("planar rotation angle at pi: principal log branch ambiguous")
-    return np.array([[0.0, -theta], [theta, 0.0]])
-
-
-def _rotation_log_3d(Q: Mat) -> Mat:
-    cos_theta = (float(np.trace(Q)) - 1.0) / 2.0
-    cos_theta = min(1.0, max(-1.0, cos_theta))
-    theta = math.acos(cos_theta)
-    if abs(theta - math.pi) <= 1e-10:
-        raise AngleAtPiError("rotation angle at pi: principal log branch ambiguous")
-
-    K = skew_part(Q)
-    if theta < 1e-4:
-        # theta/sin(theta) expanded; the theta^6 remainder is below 1e-24 here
-        t2 = theta * theta
-        return K * (1.0 + t2 / 6.0 + 7.0 * t2 * t2 / 360.0)
-    if theta > 3.0:
-        # Near pi the skew part loses accuracy (scale sin theta), so recover
-        # the axis from the symmetric part and only take signs from K.
-        M = (sym_part(Q) - cos_theta * np.eye(3)) / (1.0 - cos_theta)
-        i = int(np.argmax(np.diag(M)))
-        axis = M[:, i] / math.sqrt(max(M[i, i], ABS_FLOOR))
-        axis = axis / np.linalg.norm(axis)
-        w = np.array([K[2, 1], K[0, 2], K[1, 0]])
-        if float(axis @ w) < 0.0:
-            axis = -axis
-        a = theta * axis
-        return np.array([
-            [0.0, -a[2], a[1]],
-            [a[2], 0.0, -a[0]],
-            [-a[1], a[0], 0.0],
-        ])
-    return K * (theta / math.sin(theta))
-
-
 def principal_log_rotation(Q: Mat) -> Mat:
     """Principal logarithm of a rotation, a skew matrix W with exp(W) = Q.
 
-    Closed form for n = 2 (angle extraction) and n = 3 (Rodrigues with a
-    series branch for tiny angles and a symmetric-part branch near pi);
-    spectral for general n.  Every eigenvalue of W has imaginary part inside
-    (-pi, pi); angles within 1e-10 of pi are rejected because the principal
-    branch is not defined there.
+    One route for every n: sym Q = V diag(cos theta) V^T, and in that frame
+    K = V^T (skew Q) V is block diagonal with row norms sin theta, so
+    theta = atan2(sin, cos) is accurate up to pi. W = V (g * K) V^T, where
+    g_ij is the smaller of theta / sin theta over rows i and j (1 on fixed
+    axes), so roundoff across planes is not amplified near pi. Angles within
+    1e-10 of pi are rejected: the principal branch is not defined there.
     """
     Q = as_square(Q, "Q")
     if not is_rotation(Q):
         raise ValueError("argument is not a rotation matrix")
-    n = Q.shape[0]
-    if n == 2:
-        return _rotation_log_2d(Q)
-    if n == 3:
-        return _rotation_log_3d(Q)
-    lam, V = np.linalg.eig(Q)
-    if np.any(np.abs(lam + 1.0) <= 1e-10):
-        raise AngleAtPiError("rotation has eigenvalue -1: principal log branch ambiguous")
-    W = V @ np.diag(np.log(lam)) @ np.linalg.inv(V)
-    return skew_part(W.real)
+    c, V = np.linalg.eigh(sym_part(Q))
+    K = skew_part(V.T @ skew_part(Q) @ V)  # skew again: a plane's two rows get one norm
+    s = np.sqrt(np.sum(K * K, axis=1))
+    theta = np.arctan2(s, c)
+    if np.any(theta >= math.pi - 1e-10):
+        raise AngleAtPiError("rotation angle at pi: principal log branch ambiguous")
+    f = np.divide(theta, s, out=np.ones_like(s), where=s > 0.0)
+    return skew_part(V @ (np.minimum.outer(f, f) * K) @ V.T)

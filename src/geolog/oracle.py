@@ -92,6 +92,20 @@ class OracleVerdict:
     # how much work the engine did; see each oracle's docstring
     stats: Optional[dict] = field(default=None, compare=False)
 
+    @classmethod
+    def of(
+        cls, claim: str, closed: float, value: float, passed: bool,
+        witness: Optional[Mat] = None, stats: Optional[dict] = None,
+    ) -> "OracleVerdict":
+        """The verdict on a claim whose closed form reads `closed` and whose
+        check reads `value`. Their gap is relative to the closed form, and
+        absolute when that is essentially zero (a ratio against 1e-16 would
+        only mislead)."""
+        gap = value - closed
+        if abs(closed) > 1e-12:
+            gap /= abs(closed)
+        return cls(claim, closed, float(value), gap, passed, witness, stats)
+
     def __str__(self) -> str:
         tag = "PASS" if self.passed else "FAIL"
         return (
@@ -262,12 +276,13 @@ def _compass_min(
     return np.array(x), fx, evals
 
 
-def _relative_gap(oracle: float, closed: float) -> float:
-    """Gap relative to the closed form; absolute when the closed form is
-    essentially zero (a ratio against 1e-16 would only mislead)."""
-    if abs(closed) <= 1e-12:
-        return oracle - closed
-    return (oracle - closed) / abs(closed)
+def _input(F: Mat, dims: Tuple[int, ...], search: str) -> np.ndarray:
+    """F as a square finite float array whose size is one of dims, else a
+    ValueError "<search> 2x2 and 3x3 inputs only" naming the dims."""
+    F = as_square(F, "F")
+    if F.shape[0] not in dims:
+        raise ValueError(f"{search} {' and '.join(f'{n}x{n}' for n in dims)} inputs only")
+    return F
 
 
 # ---------------------------------------------------------------------------
@@ -285,10 +300,8 @@ def grioli_oracle(F: Mat, cfg: OracleConfig) -> OracleVerdict:
     objective evaluations of the coarse and the fine stage, and the seconds.
     """
     t_start = time.perf_counter()
-    F = as_square(np.asarray(F, dtype=float), "F")
+    F = _input(F, (2, 3), "rotation search supports")
     n = F.shape[0]
-    if n not in (2, 3):
-        raise ValueError("rotation search supports 2x2 and 3x3 inputs only")
     report = euclid_dist_to_SO(F)
     closed = report.distance
 
@@ -316,15 +329,7 @@ def grioli_oracle(F: Mat, cfg: OracleConfig) -> OracleVerdict:
 
     matches = float(np.linalg.norm(q_best - report.minimizer)) <= 1e-4
     passed = best >= closed - cfg.tol and matches
-    return OracleVerdict(
-        claim=f"rotation misfit minimum ({n}x{n})",
-        closed_form_value=closed,
-        oracle_value=float(best),
-        relative_gap=_relative_gap(best, closed),
-        passed=passed,
-        witness=q_best,
-        stats=stats,
-    )
+    return OracleVerdict.of(f"rotation misfit minimum ({n}x{n})", closed, best, passed, q_best, stats)
 
 
 # ---------------------------------------------------------------------------
@@ -684,19 +689,13 @@ def geodesic_distance_oracle(F: Mat, p: MetricParams, cfg: OracleConfig) -> Orac
     passes when it is at most cfg.tol (relative) above the closed form and
     not below it. Its stats are those of the search.
     """
-    F = as_square(np.asarray(F, dtype=float), "F")
-    if F.shape[0] != 2:
-        raise ValueError("discrete path search is implemented for 2x2 inputs only")
-    closed = math.sqrt(dist_squared_to_SO(F, p).squared_distance)
+    F = _input(F, (2,), "discrete path search is implemented for")
+    closed = dist_squared_to_SO(F, p).distance
     value, stats = _run_path_search(F, p, cfg, pinned_theta=None)
-    return OracleVerdict(
-        claim="geodesic distance to the rotation group (discrete path)",
-        closed_form_value=closed,
-        oracle_value=float(value),
-        relative_gap=_relative_gap(value, closed),
-        passed=closed * (1.0 - 1e-9) <= value <= closed + cfg.tol * max(closed, 1e-6),
-        witness=_rot2(stats["theta"]),
-        stats=stats,
+    return OracleVerdict.of(
+        "geodesic distance to the rotation group (discrete path)", closed, value,
+        closed * (1.0 - 1e-9) <= value <= closed + cfg.tol * max(closed, 1e-6),
+        _rot2(stats["theta"]), stats,
     )
 
 
@@ -710,11 +709,9 @@ def best_approx_uniqueness_probe(F: Mat, p: MetricParams, cfg: OracleConfig) -> 
     polyline length exceeds the closed-form distance by more than 1e-9.
     Its stats list the stats of every search, in sample order.
     """
-    F = as_square(np.asarray(F, dtype=float), "F")
-    if F.shape[0] != 2:
-        raise ValueError("discrete path search is implemented for 2x2 inputs only")
+    F = _input(F, (2,), "discrete path search is implemented for")
     pol = polar_decompose(F)
-    closed = math.sqrt(dist_squared_to_SO(F, p).squared_distance)
+    closed = dist_squared_to_SO(F, p).distance
     rng = substream(cfg.seed, 0)
     far = [
         Q for Q in _random_rotations(rng, 2, int(cfg.samples))
@@ -731,14 +728,9 @@ def best_approx_uniqueness_probe(F: Mat, p: MetricParams, cfg: OracleConfig) -> 
         searches.append(stats)
         if value - closed < min_excess:
             min_excess, worst = value - closed, Q
-    return OracleVerdict(
-        claim="uniqueness of the best rotation (pinned-endpoint paths)",
-        closed_form_value=closed,
-        oracle_value=float(closed + min_excess),
-        relative_gap=_relative_gap(closed + min_excess, closed),
-        passed=min_excess > _GAP_FLOOR,
-        witness=worst,
-        stats={"searches": searches},
+    return OracleVerdict.of(
+        "uniqueness of the best rotation (pinned-endpoint paths)", closed, closed + min_excess,
+        min_excess > _GAP_FLOOR, worst, {"searches": searches},
     )
 
 
@@ -755,14 +747,16 @@ _CLUSTER = 1e-2
 _TAYLOR_TERMS = 10
 
 
-def _pair_off_axis(s: np.ndarray, q: np.ndarray, det: np.ndarray, scale: np.ndarray) -> np.ndarray:
-    """Whether both eigenvalues scale (s +- sqrt(q)) of a real pair (a
-    conjugate pair when q < 0) with product det keep off the closed
-    negative real axis. An eigenvalue counts as on it when its imaginary
-    part is at most 1e-12 max(1, |lambda|) and its real part is not
-    positive; the sign of the smaller one of a real pair is that of det."""
+def _pair_off_axis(s: np.ndarray, q: np.ndarray, det: np.ndarray) -> np.ndarray:
+    """Whether both eigenvalues s +- sqrt(q) of a real pair (a conjugate
+    pair when q < 0) with product det keep off the closed negative real
+    axis. An eigenvalue counts as on it when its imaginary part is at most
+    1e-12 max(1, |lambda|) and its real part is not positive; the sign of
+    the smaller one of a real pair is that of det. The pair comes from a
+    matrix divided by a power of two near its largest element, so the rule
+    does not depend on the scale of M."""
     w = np.sqrt(np.abs(q))
-    conjugate_on = (w <= 1e-12 * np.maximum(1.0 / scale, np.hypot(s, w))) & (s <= 0.0)
+    conjugate_on = (w <= 1e-12 * np.maximum(1.0, np.hypot(s, w))) & (s <= 0.0)
     return ~np.where(q >= 0.0, (s <= 0.0) | (det <= 0.0), conjugate_on)
 
 
@@ -902,7 +896,7 @@ def _principal_logs(M: np.ndarray, stats: Optional[dict] = None) -> Tuple[np.nda
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         if n == 2:
             s, q, det = _pair(E)
-            ok = _pair_off_axis(s, q, det, scale)
+            ok = _pair_off_axis(s, q, det)
             clustered = ok & (q == 0.0)
             e0, e1 = 0.5 * np.log(det), _log_slope(s, q, det)
         else:
@@ -916,7 +910,7 @@ def _principal_logs(M: np.ndarray, stats: Optional[dict] = None) -> Tuple[np.nda
             radius = np.maximum(np.abs(mu), 0.5 * np.abs(mu) + np.sqrt(np.abs(P + 0.75 * mu * mu)))
             clustered = (m > 0.0) & (radius <= _CLUSTER * m)
             s, q, det = _pair(_deflate(E, r))
-            ok = (r > 0.0) & (_det3(E) > 0.0) & (clustered | _pair_off_axis(s, q, det, scale))
+            ok = (r > 0.0) & (_det3(E) > 0.0) & (clustered | _pair_off_axis(s, q, det))
             clustered &= ok
             w = np.sqrt(q + 0j)
             a = s + w
@@ -997,15 +991,7 @@ def _logmin_impl(F: np.ndarray, cfg: OracleConfig, p: MetricParams, claim: str) 
     else:
         witness = None
     attained = bool(ok[0] and abs(values[0] - closed) <= 1e-8)
-    return OracleVerdict(
-        claim=claim,
-        closed_form_value=closed,
-        oracle_value=min_val,
-        relative_gap=_relative_gap(min_val, closed),
-        passed=violations.size == 0 and attained,
-        witness=witness,
-        stats=stats,
-    )
+    return OracleVerdict.of(claim, closed, min_val, violations.size == 0 and attained, witness, stats)
 
 
 def logmin_oracle(F: Mat, cfg: OracleConfig) -> OracleVerdict:
@@ -1021,14 +1007,9 @@ def logmin_oracle(F: Mat, cfg: OracleConfig) -> OracleVerdict:
     The witness is the first violating rotation, or else the first one of
     least misfit.
     """
-    F = as_square(np.asarray(F, dtype=float), "F")
-    if F.shape[0] not in (2, 3):
-        raise ValueError("log sampling supports 2x2 and 3x3 inputs only")
+    F = _input(F, (2, 3), "log sampling supports")
     return _logmin_impl(
-        F,
-        cfg,
-        MetricParams.frobenius(F.shape[0]),
-        "symmetric-log misfit minimized by the polar factor",
+        F, cfg, MetricParams.frobenius(F.shape[0]), "symmetric-log misfit minimized by the polar factor"
     )
 
 
@@ -1039,9 +1020,7 @@ def weighted_logmin_oracle(F: Mat, p: MetricParams, cfg: OracleConfig) -> Oracle
     its square splits as mu*||dev log U||^2 + (kappa/2)*tr^2(log U) because
     the log of a stretch is symmetric and the spin weight never engages.
     """
-    F = as_square(np.asarray(F, dtype=float), "F")
-    if F.shape[0] not in (2, 3):
-        raise ValueError("log sampling supports 2x2 and 3x3 inputs only")
     return _logmin_impl(
-        F, cfg, p, "weighted symmetric-log misfit minimized by the polar factor"
+        _input(F, (2, 3), "log sampling supports"), cfg, p,
+        "weighted symmetric-log misfit minimized by the polar factor",
     )

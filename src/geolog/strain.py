@@ -26,8 +26,6 @@ from .matcore import (
     sym_part,
 )
 
-SethHillOrder = float
-
 _NAMED_ORDERS = ("hencky", "bazant", "linear")
 _KINDS = ("material", "spatial")
 
@@ -148,7 +146,7 @@ class ScaleFunctionReport:
     passed: bool
 
 
-def scale_function_check(r: float, grid: "np.ndarray | None" = None) -> ScaleFunctionReport:
+def scale_function_check(r: float) -> ScaleFunctionReport:
     """Verify the defining normalization of the scale function e_r.
 
     Checks, on a stretch grid covering [0.2, 5]: e_r(1) = 0, a central
@@ -156,9 +154,7 @@ def scale_function_check(r: float, grid: "np.ndarray | None" = None) -> ScaleFun
     monotonicity of e_r along the whole grid.
     """
     r = float(r)
-    if grid is None:
-        grid = np.linspace(0.2, 5.0, 481)
-    vals = scale_function(r, grid)
+    vals = scale_function(r, np.linspace(0.2, 5.0, 481))
     value_at_one = float(scale_function(r, 1.0))
     h = 1e-6
     fd = float((scale_function(r, 1.0 + h) - scale_function(r, 1.0 - h)) / (2.0 * h))

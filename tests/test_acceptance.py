@@ -404,8 +404,7 @@ def test_criterion_14_fit_roundtrip():
     data = tuple(predict_stresses(truth, "uniaxial_free", "cauchy", controls))
     problem = FitProblem(controls=controls, stresses=data,
                          mode_kind="uniaxial_free", stress_kind="cauchy",
-                         model_kind="hencky", free_parameters=("mu", "kappa"),
-                         seed=114)
+                         model_kind="hencky", seed=114)
     first = run_fit(problem)
     again = run_fit(problem)
     assert (first.model.mu, first.model.kappa) == (again.model.mu, again.model.kappa)
@@ -416,8 +415,7 @@ def test_criterion_14_fit_roundtrip():
     data = tuple(predict_stresses(truth, "uniaxial_free", "cauchy", controls))
     problem = FitProblem(controls=controls, stresses=data,
                          mode_kind="uniaxial_free", stress_kind="cauchy",
-                         model_kind="exp_hencky",
-                         free_parameters=("mu", "kappa", "k", "khat"), seed=114)
+                         model_kind="exp_hencky", seed=114)
     first = run_fit(problem)
     again = run_fit(problem)
     assert (first.model.mu, first.model.kappa, first.model.k, first.model.khat) == \

@@ -690,7 +690,7 @@ class TestFit:
             controls=controls,
             stresses=tuple(predict_stresses(truth, "uniaxial_free", "cauchy", controls)),
             mode_kind="uniaxial_free", stress_kind="cauchy", model_kind="exp_hencky",
-            free_parameters=("mu", "kappa", "k", "khat"), seed=114, max_iters=400,
+            seed=114, max_iters=400,
         )
         result = run_fit(problem)
         assert len(result.starts) == 5
@@ -717,7 +717,7 @@ class TestFit:
             controls=tuple(controls),
             stresses=tuple(predict_stresses(truth, mode, stress, controls)),
             mode_kind=mode, stress_kind=stress, model_kind="exp_hencky",
-            free_parameters=("mu", "kappa", "k", "khat"), seed=5,
+            seed=5,
         )
         result = run_fit(problem)
         assert result.converged
@@ -781,11 +781,11 @@ class TestFit:
         with pytest.raises(InsufficientDataError):
             FitProblem(controls=(1.0, 1.2, 1.4), stresses=(0.1, 0.2, 0.3),
                        mode_kind="uniaxial_free", stress_kind="biot",
-                       model_kind="hencky", free_parameters=("mu", "kappa"))
+                       model_kind="hencky")
         with pytest.raises(UsageError):
             FitProblem(controls=(1.0, 1.2, 1.4, 1.6), stresses=(0.1, 0.2, 0.3, 0.4),
                        mode_kind="uniaxial_free", stress_kind="nominal",
-                       model_kind="hencky", free_parameters=("mu", "kappa"))
+                       model_kind="hencky")
 
 
 class TestModeValidation:

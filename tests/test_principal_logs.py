@@ -8,8 +8,9 @@ import sys
 import numpy as np
 import pytest
 
+from geolog.constitutive import sample_gl
 from geolog.matcore import mat_exp
-from geolog.oracle import _principal_logs
+from geolog.oracle import _principal_logs, _random_rotations, substream
 
 mpmath = pytest.importorskip("mpmath")
 
@@ -163,12 +164,22 @@ def test_scaled_stacks(c):
         stack = rng.uniform(-1.0, 1.0, size=(30, n, n)) + np.linspace(0.0, 2.0, 30)[:, None, None] * np.eye(n)
         logs, ok = _principal_logs(stack)
         scaled, scaled_ok = _principal_logs(c * stack)
-        # the skip rule's floor, imaginary parts up to 1e-12 max(1, |lambda|),
-        # also skips every conjugate pair left of the imaginary axis at 1e-150
-        assert np.array_equal(scaled_ok, ok) if c > 1.0 else not (scaled_ok & ~ok).any()
+        assert np.array_equal(scaled_ok, ok)
         assert scaled_ok.sum() >= 15
         shifted = logs[scaled_ok] + math.log(c) * np.eye(n)
         assert np.allclose(scaled[scaled_ok], shifted, rtol=1e-12, atol=1e-12)
+
+
+@pytest.mark.parametrize("c", [2.0 ** -500, 2.0 ** 500, 1e-150, 1e150], ids=["2^-500", "2^500", "1e-150", "1e150"])
+def test_skip_rule_is_scale_invariant(c):
+    # logmin stacks Q^T F over sampled rotations Q: scaling F must not change
+    # which samples have a principal log
+    for n in (2, 3):
+        rng = np.random.default_rng(20 + n)
+        for k in range(4):
+            F = sample_gl(rng, n)
+            M = np.swapaxes(_random_rotations(substream(k, 0), n, 2000), -1, -2) @ F
+            assert np.array_equal(_principal_logs(c * M)[1], _principal_logs(M)[1])
 
 
 def test_exp_of_log_round_trip():

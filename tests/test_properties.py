@@ -5,6 +5,9 @@ The closed forms share one SVD per F through the stretch-spectrum memo
 it forgotten, or follows a call on another F, it must return the same bits.
 The draws cover generic F, repeated singular values, F near a rotation and
 F scaled by 1e+-150, in two and three dimensions.
+
+The principal log of a rotation is checked against 50-digit references at
+hard angles: tiny, near pi, and repeated over several planes.
 """
 
 import math
@@ -27,7 +30,13 @@ from geolog.geodesy import (
     omega_iso,
     omega_vol,
 )
-from geolog.matcore import MetricParams, _spectrum_of, polar_decompose
+from geolog.matcore import (
+    AngleAtPiError,
+    MetricParams,
+    _spectrum_of,
+    polar_decompose,
+    principal_log_rotation,
+)
 
 METRIC = MetricParams(mu=2.0, mu_c=1.0, kappa=0.5)
 HENCKY = MaterialModel(kind="hencky", mu=0.5, kappa=1.5)
@@ -146,3 +155,44 @@ def test_closed_forms_give_the_same_bits_on_a_hit_a_miss_and_after_another_F():
             assert after_other == miss, (name, kind, F.tolist())
 
     check()
+
+
+# (n, number of planes turned by the same angle)
+PLANE_LAYOUTS = [(2, 1), (3, 1), (4, 2), (6, 3)]
+
+
+def _planted_rotation(n, planes, angle):
+    """A rotation of R^n turning `planes` planes by `angle` (a number, "pi" or
+    "pi-d" for pi - d) in a fixed oblique frame, rounded to doubles, and its principal log,
+    both from 50-digit arithmetic."""
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(50):
+        theta = mpmath.pi - mpmath.mpf(angle[3:] or 0) if angle.startswith("pi") else mpmath.mpf(angle)
+        A = mpmath.zeros(n, n)  # skew, so its Cayley transform P is orthogonal
+        for i in range(n):
+            for j in range(i + 1, n):
+                A[i, j] = mpmath.mpf((3 * i + 5 * j) % 7 - 3) / 5
+                A[j, i] = -A[i, j]
+        P = mpmath.inverse(mpmath.eye(n) - A) * (mpmath.eye(n) + A)
+        R, W = mpmath.eye(n), mpmath.zeros(n, n)
+        for b in range(planes):
+            i, j = 2 * b, 2 * b + 1
+            R[i, i] = R[j, j] = mpmath.cos(theta)
+            R[j, i], R[i, j] = mpmath.sin(theta), -mpmath.sin(theta)
+            W[j, i], W[i, j] = theta, -theta
+        return tuple(np.array((P * X * P.T).tolist(), dtype=float) for X in (R, W))
+
+
+@pytest.mark.parametrize("angle", ["1e-9", "1e-4", "0.5", "3.0", "pi-1e-6", "pi-1e-9", "pi-5e-10"])
+@pytest.mark.parametrize("n,planes", PLANE_LAYOUTS)
+def test_rotation_log_at_hard_angles(n, planes, angle):
+    Q, W = _planted_rotation(n, planes, angle)
+    assert float(np.max(np.abs(principal_log_rotation(Q) - W))) <= 1e-13
+
+
+@pytest.mark.parametrize("angle", ["pi-5e-11", "pi"])
+@pytest.mark.parametrize("n,planes", PLANE_LAYOUTS)
+def test_rotation_log_rejects_angles_at_pi(n, planes, angle):
+    Q, _ = _planted_rotation(n, planes, angle)
+    with pytest.raises(AngleAtPiError):
+        principal_log_rotation(Q)
