@@ -373,21 +373,24 @@ def mat_exp(X: Mat) -> Mat:
 def principal_log_rotation(Q: Mat) -> Mat:
     """Principal logarithm of a rotation, a skew matrix W with exp(W) = Q.
 
-    One route for every n: sym Q = V diag(cos theta) V^T, and in that frame
-    K = V^T (skew Q) V is block diagonal with row norms sin theta, so
-    theta = atan2(sin, cos) is accurate up to pi. W = V (g * K) V^T, where
-    g_ij is the smaller of theta / sin theta over rows i and j (1 on fixed
-    axes), so roundoff across planes is not amplified near pi. Angles within
-    1e-10 of pi are rejected: the principal branch is not defined there.
+    One route for every n: the SVD I + Q = U diag(2 cos(theta/2)) V^T splits
+    the planes linearly in theta, also near pi, where eigh(sym Q) would mix
+    planes whose cosines meet quadratically. In the frame V, K = V^T (skew Q) V
+    is block diagonal with row norms sin theta, so theta = atan2(sin, cos) is
+    accurate up to pi. W = V (g * K) V^T with g_ij the smaller of theta / sin
+    theta over rows i and j (1 on fixed axes), so roundoff across planes is
+    not amplified near pi. Angles within 1e-10 of pi are rejected: the
+    principal branch is not defined there.
     """
     Q = as_square(Q, "Q")
     if not is_rotation(Q):
         raise ValueError("argument is not a rotation matrix")
-    c, V = np.linalg.eigh(sym_part(Q))
-    K = skew_part(V.T @ skew_part(Q) @ V)  # skew again: a plane's two rows get one norm
+    _, sigma, Vt = np.linalg.svd(np.eye(Q.shape[0]) + Q)
+    c = 0.5 * sigma * sigma - 1.0  # 2 + 2 cos theta = sigma^2
+    K = skew_part(Vt @ skew_part(Q) @ Vt.T)  # skew again: a plane's two rows get one norm
     s = np.sqrt(np.sum(K * K, axis=1))
     theta = np.arctan2(s, c)
     if np.any(theta >= math.pi - 1e-10):
         raise AngleAtPiError("rotation angle at pi: principal log branch ambiguous")
     f = np.divide(theta, s, out=np.ones_like(s), where=s > 0.0)
-    return skew_part(V @ (np.minimum.outer(f, f) * K) @ V.T)
+    return skew_part(Vt.T @ (np.minimum.outer(f, f) * K) @ Vt)

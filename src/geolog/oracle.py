@@ -752,9 +752,9 @@ def _pair_off_axis(s: np.ndarray, q: np.ndarray, det: np.ndarray) -> np.ndarray:
     pair when q < 0) with product det keep off the closed negative real
     axis. An eigenvalue counts as on it when its imaginary part is at most
     1e-12 max(1, |lambda|) and its real part is not positive; the sign of
-    the smaller one of a real pair is that of det. The pair comes from a
-    matrix divided by a power of two near its largest element, so the rule
-    does not depend on the scale of M."""
+    the smaller one of a real pair is that of det. The pair comes from M
+    divided by a power of two near its largest element, so 2^k M gets the
+    answer of M; for other c M the floor moves by less than a factor of 2."""
     w = np.sqrt(np.abs(q))
     conjugate_on = (w <= 1e-12 * np.maximum(1.0, np.hypot(s, w))) & (s <= 0.0)
     return ~np.where(q >= 0.0, (s <= 0.0) | (det <= 0.0), conjugate_on)

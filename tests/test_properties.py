@@ -7,7 +7,8 @@ The draws cover generic F, repeated singular values, F near a rotation and
 F scaled by 1e+-150, in two and three dimensions.
 
 The principal log of a rotation is checked against 50-digit references at
-hard angles: tiny, near pi, and repeated over several planes.
+hard angles: tiny, near pi, repeated over several planes, and distinct
+but all near pi.
 """
 
 import math
@@ -161,13 +162,17 @@ def test_closed_forms_give_the_same_bits_on_a_hit_a_miss_and_after_another_F():
 PLANE_LAYOUTS = [(2, 1), (3, 1), (4, 2), (6, 3)]
 
 
-def _planted_rotation(n, planes, angle):
-    """A rotation of R^n turning `planes` planes by `angle` (a number, "pi" or
-    "pi-d" for pi - d) in a fixed oblique frame, rounded to doubles, and its principal log,
-    both from 50-digit arithmetic."""
+def _theta(mpmath, angle):
+    """An angle given as a number, "pi" or "pi-d" for pi - d, at working precision."""
+    return mpmath.pi - mpmath.mpf(angle[3:] or 0) if angle.startswith("pi") else mpmath.mpf(angle)
+
+
+def _planted_rotation(n, angles):
+    """A rotation of R^n turning its first planes by `angles` (see _theta) in a
+    fixed oblique frame, rounded to doubles, and its principal log, both from
+    50-digit arithmetic."""
     mpmath = pytest.importorskip("mpmath")
     with mpmath.workdps(50):
-        theta = mpmath.pi - mpmath.mpf(angle[3:] or 0) if angle.startswith("pi") else mpmath.mpf(angle)
         A = mpmath.zeros(n, n)  # skew, so its Cayley transform P is orthogonal
         for i in range(n):
             for j in range(i + 1, n):
@@ -175,7 +180,8 @@ def _planted_rotation(n, planes, angle):
                 A[j, i] = -A[i, j]
         P = mpmath.inverse(mpmath.eye(n) - A) * (mpmath.eye(n) + A)
         R, W = mpmath.eye(n), mpmath.zeros(n, n)
-        for b in range(planes):
+        for b, angle in enumerate(angles):
+            theta = _theta(mpmath, angle)
             i, j = 2 * b, 2 * b + 1
             R[i, i] = R[j, j] = mpmath.cos(theta)
             R[j, i], R[i, j] = mpmath.sin(theta), -mpmath.sin(theta)
@@ -186,13 +192,33 @@ def _planted_rotation(n, planes, angle):
 @pytest.mark.parametrize("angle", ["1e-9", "1e-4", "0.5", "3.0", "pi-1e-6", "pi-1e-9", "pi-5e-10"])
 @pytest.mark.parametrize("n,planes", PLANE_LAYOUTS)
 def test_rotation_log_at_hard_angles(n, planes, angle):
-    Q, W = _planted_rotation(n, planes, angle)
+    Q, W = _planted_rotation(n, (angle,) * planes)
     assert float(np.max(np.abs(principal_log_rotation(Q) - W))) <= 1e-13
 
 
 @pytest.mark.parametrize("angle", ["pi-5e-11", "pi"])
 @pytest.mark.parametrize("n,planes", PLANE_LAYOUTS)
 def test_rotation_log_rejects_angles_at_pi(n, planes, angle):
-    Q, _ = _planted_rotation(n, planes, angle)
+    Q, _ = _planted_rotation(n, (angle,) * planes)
     with pytest.raises(AngleAtPiError):
         principal_log_rotation(Q)
+
+
+@pytest.mark.parametrize(
+    "n,angles",
+    [
+        (4, ("pi-1e-6", "pi-2e-6")),
+        (5, ("pi-1e-9", "pi-2e-9")),
+        (6, ("pi-1e-9", "pi-1e-6", "pi-1e-3")),
+        (8, ("0.3", "pi-1e-6", "pi-2e-6", "1e-9")),
+    ],
+)
+def test_rotation_log_splits_distinct_angles_near_pi(n, angles):
+    # The cosines of planes at pi - d1 and pi - d2 differ only by about
+    # (d2^2 - d1^2) / 2, so a split by cos theta mixes them. The log itself is
+    # conditioned like 2 pi u / (d1 + d2) there (u the unit roundoff), and the
+    # result must be that accurate.
+    Q, W = _planted_rotation(n, angles)
+    d = sorted(float(angle[3:]) for angle in angles if angle.startswith("pi-"))
+    tol = 2.0 * math.pi * (np.finfo(float).eps / 2.0) / (d[0] + d[1])
+    assert float(np.max(np.abs(principal_log_rotation(Q) - W))) <= tol
