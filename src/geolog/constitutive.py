@@ -1,9 +1,10 @@
 """Hyperelastic energies, stresses and rate identities on logarithmic strains.
 
-The energy side covers the quadratic logarithmic-strain energy, its
-exponentiated variant, the quadratic Green-strain (Saint-Venant-Kirchhoff)
-energy and the Biot energy.  The stress side provides the Kirchhoff stress of
-the two logarithmic energies in closed form, the Cauchy conversion, a
+The quadratic energies are one potential mu ||dev E_r||^2 + (kappa/2) tr(E_r)^2
+on the Seth-Hill strains E_r: Hencky (r = 0, log U), Biot (r = 1/2) and
+Saint-Venant-Kirchhoff (r = 1, the Green strain), beside the exponentiated
+Hencky energy.  The stress side provides the Kirchhoff stress of the two
+logarithmic energies in closed form, the Cauchy conversion, a
 finite-difference first Piola-Kirchhoff gradient for cross-checking, and the
 generalized linear stress-strain laws T_r = 2 mu E_r + lambda tr(E_r) id with
 their classically named members.  Kinematics helpers split a velocity
@@ -11,9 +12,8 @@ gradient, evaluate corotational and convected rates along sampled motions,
 and check the two rate identities that hold exactly for the Almansi strain
 and for coaxial logarithmic strain.
 
-The logarithmic and Biot energies and the Kirchhoff stress only see the
-stretch spectrum: each is scalar work on the singular values of one SVD of F
-(matcore.stretch_spectrum), with the left singular frame carrying the stress.
+Every energy and the Kirchhoff stress are scalar work on the singular values
+of one SVD of F (matcore.stretch_spectrum), the left frame carrying the stress.
 """
 
 from __future__ import annotations
@@ -28,16 +28,16 @@ from .matcore import (
     Mat,
     ParameterOutOfRangeError,
     as_square,
-    deviatoric,
     gl_plus_log_det,
     log_invariants,
     principal_log_spd,
+    quadratic_potential,
     require_gl_plus,
     skew_part,
     stretch_spectrum,
     sym_part,
 )
-from .strain import StrainTensor
+from .strain import StrainTensor, scale_function
 
 __all__ = [
     "MaterialModel",
@@ -65,12 +65,7 @@ __all__ = [
     "tension_compression_check",
 ]
 
-MODEL_KINDS = (
-    "hencky",
-    "exp_hencky",
-    "svk",
-    "biot_linear",
-)
+MODEL_KINDS = {"hencky": 0.0, "exp_hencky": 0.0, "svk": 1.0, "biot_linear": 0.5}  # kind: Seth-Hill r
 
 class UnsupportedModelError(ValueError):
     """The requested operation is not defined for this model kind."""
@@ -84,18 +79,17 @@ class ZeroDistortionError(ValueError):
 class MaterialModel:
     """A named hyperelastic model with its parameter set.
 
-    ``mu`` and ``kappa`` are the shear and bulk moduli.  ``lam`` optionally
-    pins the first Lame constant; when absent it is derived per dimension as
-    kappa - 2 mu / n.  ``k`` and ``khat`` are the dimensionless exponents of
-    the exponentiated energy, constrained to k >= 1/4 and khat >= 1/8.  With
-    ``normalized`` set, the exponentiated energy subtracts its value at the
-    identity so that it vanishes on the rotation group like the others.
+    ``mu`` and ``kappa`` are the shear and bulk moduli; hencky, biot_linear
+    and svk are one quadratic potential on the Seth-Hill strains of order
+    r = 0, 1/2 and 1 (first Lame constant kappa - 2 mu / n).  ``k`` >= 1/4
+    and ``khat`` >= 1/8 are the exponents of the exponentiated energy; with
+    ``normalized`` set, it subtracts its value at the identity so that it
+    vanishes on the rotation group like the others.
     """
 
     kind: str
     mu: float = 1.0
     kappa: float = 1.0
-    lam: "float | None" = None
     k: float = 0.25
     khat: float = 0.125
     normalized: bool = False
@@ -126,18 +120,16 @@ class MotionSample:
 
 
 def lame_lambda(model: MaterialModel, n: int) -> float:
-    """First Lame constant: the pinned value if any, else kappa - 2 mu / n."""
-    if model.lam is not None:
-        return float(model.lam)
+    """First Lame constant kappa - 2 mu / n in dimension n."""
     return model.kappa - 2.0 * model.mu / n
 
 
 def energy_from_logs(model: MaterialModel, logs: Sequence[float]) -> float:
     """Energy of a logarithmic model from the principal log stretches."""
-    iso2, t = log_invariants(logs)
     if model.kind == "hencky":
-        return model.mu * iso2 + 0.5 * model.kappa * t * t
+        return quadratic_potential(model.mu, model.kappa, logs)
     if model.kind == "exp_hencky":
+        iso2, t = log_invariants(logs)
         # normalized, it vanishes at rest; expm1 keeps the digits exp - 1 cancels
         grow = math.expm1 if model.normalized else math.exp
         iso_part = model.mu * grow(model.k * iso2) / model.k
@@ -170,25 +162,27 @@ def principal_kirchhoff(model: MaterialModel, logs: Sequence[float]) -> list[flo
 def energy(model: MaterialModel, F: Mat) -> float:
     """Strain energy density of the model at the deformation gradient F.
 
-    Every kind but the Green-strain energy is a function of the singular
-    values of F alone.
+    It reads the principal strains scale_function(r, s) of the singular values
+    s of F, r = 0 (log s) for both Hencky kinds, 1/2 for biot_linear and 1 for
+    svk; every kind but exp_hencky is their quadratic potential.
 
     Raises
     ------
     NonPositiveDeterminantError
         If det F <= 0.
+    SingularMatrixError
+        If the condition number of F exceeds ``matcore.COND_LIMIT``.
+    OverflowError
+        If the energy leaves the double range.
     """
-    if model.kind in ("hencky", "exp_hencky"):
-        return energy_from_logs(model, np.log(stretch_spectrum(F)[1]).tolist())
-    if model.kind == "biot_linear":
-        e = stretch_spectrum(F)[1] - 1.0
-        lam = lame_lambda(model, e.size)
-        return model.mu * float(e @ e) + 0.5 * lam * float(np.sum(e)) ** 2
-    F = require_gl_plus(F)  # svk, the Green-strain energy
-    n = F.shape[0]
-    E = (F.T @ F - np.eye(n)) / 2.0
-    dev = deviatoric(E)
-    return model.mu * float(np.sum(dev * dev)) + 0.5 * model.kappa * float(np.trace(E)) ** 2
+    e = scale_function(MODEL_KINDS[model.kind], stretch_spectrum(F)[1]).tolist()
+    if model.kind == "exp_hencky":
+        value = energy_from_logs(model, e)
+    else:
+        value = quadratic_potential(model.mu, model.kappa, e)
+    if not math.isfinite(value):
+        raise OverflowError(f"{model.kind} energy overflows double precision")
+    return value
 
 
 def kirchhoff_stress(model: MaterialModel, F: Mat) -> Mat:
@@ -206,12 +200,16 @@ def kirchhoff_stress(model: MaterialModel, F: Mat) -> Mat:
         If det F <= 0.
     UnsupportedModelError
         For kinds other than the two logarithmic energies.
+    OverflowError
+        If a principal stress, or twice one, is not finite.
     """
     if model.kind not in ("hencky", "exp_hencky"):
         raise UnsupportedModelError(f"kirchhoff_stress supports the logarithmic energies, not {model.kind!r}")
     A, s, _ = stretch_spectrum(F)
-    tau = np.array(principal_kirchhoff(model, np.log(s).tolist()))
-    return sym_part(A @ (tau[:, None] * A.T))
+    tau = principal_kirchhoff(model, np.log(s).tolist())
+    if not all(math.isfinite(t + t) for t in tau):  # sym_part adds two copies of each
+        raise OverflowError("Kirchhoff stress overflows double precision")
+    return sym_part(A @ (np.array(tau)[:, None] * A.T))
 
 
 def cauchy_stress(tau: Mat, F: Mat) -> Mat:

@@ -32,12 +32,13 @@ from .matcore import (
     mat_exp,
     principal_log_rotation,
     principal_log_spd,
+    quadratic_potential,
     require_gl_plus,
     skew_part,
     spd_function,
-    split_orthogonal,
     stretch_spectrum,
     sym_part,
+    weighted_inner,
     weighted_norm,
 )
 
@@ -170,8 +171,7 @@ def dist_squared_to_SO(F: Mat, p: MetricParams) -> DistanceReport:
         If det F <= 0.
     """
     A, s, B = stretch_spectrum(F)
-    iso2, tr = log_invariants(np.log(s).tolist())
-    value = p.mu * iso2 + 0.5 * p.kappa * tr * tr
+    value = quadratic_potential(p.mu, p.kappa, np.log(s).tolist())
     return DistanceReport(squared_distance=value, minimizer=A @ B.T, method="closed_form")
 
 
@@ -205,8 +205,7 @@ def dist_cof_squared_to_SO(F: Mat, p: MetricParams) -> float:
     and scales the trace by n - 1.
     """
     _, s, _ = stretch_spectrum(F)
-    iso2, tr = log_invariants(np.log(s).tolist())
-    return p.mu * iso2 + 0.5 * p.kappa * (s.size - 1) ** 2 * tr ** 2
+    return quadratic_potential(p.mu, p.kappa * (s.size - 1) ** 2, np.log(s).tolist())
 
 
 def euclid_dist_to_SO(F: Mat) -> DistanceReport:
@@ -299,7 +298,5 @@ def linear_dist_to_so(grad_u: Mat, p: MetricParams) -> float:
     skew matrix is the skew part of grad_u itself, since the weighted inner
     product splits orthogonally.
     """
-    s = split_orthogonal(grad_u)
-    n = grad_u.shape[0] if hasattr(grad_u, "shape") else np.asarray(grad_u).shape[0]
-    tr = s.spherical_coeff * n
-    return p.mu * float(np.sum(s.dev_sym * s.dev_sym)) + 0.5 * p.kappa * tr * tr
+    S = sym_part(as_square(grad_u, "grad_u"))
+    return weighted_inner(S, S, p)

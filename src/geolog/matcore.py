@@ -4,9 +4,9 @@ Everything downstream (strain tensors, geodesic distances, constitutive laws,
 brute-force verification) rests on the primitives collected here: the
 orthogonal sym/skew/spherical splitting, the weighted inner product it
 induces, the stretch spectrum (one SVD of F) with the polar decomposition
-built on it, and principal matrix functions on the classes
-that actually occur in elasticity (symmetric positive definite matrices,
-rotations, and general square matrices for the exponential).
+built on it, one quadratic potential of principal strains, and principal
+matrix functions on the classes that occur in elasticity (symmetric positive
+definite matrices, rotations, and general square matrices for exp).
 
 All functions are pure and operate on ``numpy.ndarray`` values of shape
 ``(n, n)``.  Comparisons are made relative to ``n`` times the max-entry
@@ -263,6 +263,12 @@ def log_invariants(logs: Sequence[float]) -> tuple[float, float]:
     t = sum(logs)
     mean = t / n
     return sum((l - mean) ** 2 for l in logs), t
+
+
+def quadratic_potential(mu: float, kappa: float, e: Sequence[float]) -> float:
+    """mu ||dev e||^2 + (kappa/2) (sum e)^2 of principal strains e (log s or Seth-Hill)."""
+    iso2, t = log_invariants(e)
+    return mu * iso2 + 0.5 * kappa * t * t
 
 
 def polar_decompose(F: Mat) -> PolarDecomposition:

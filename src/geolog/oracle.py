@@ -33,11 +33,13 @@ from typing import Callable, Iterator, List, Optional, Sequence, Tuple
 import numpy as np
 
 from .matcore import (
+    COND_LIMIT,
     Mat,
     MetricParams,
     ParameterOutOfRangeError,
     as_square,
     polar_decompose,
+    stretch_spectrum,
 )
 from .geodesy import dist_squared_to_SO, euclid_dist_to_SO
 
@@ -673,8 +675,7 @@ def _run_path_search(
 def _path_activity(F: np.ndarray, theta_span: float) -> float:
     """Per-unit-arc variation scale of a rotation-to-F path: the largest
     principal log stretch plus the rotation angle it has to sweep."""
-    sv = np.linalg.svd(F, compute_uv=False)
-    d_max = float(np.max(np.abs(np.log(sv))))
+    d_max = float(np.max(np.abs(np.log(stretch_spectrum(F)[1]))))
     return math.sqrt(d_max * d_max + theta_span * theta_span)
 
 
@@ -866,13 +867,13 @@ def _deflate(E: np.ndarray, r: np.ndarray) -> np.ndarray:
 def _principal_logs(M: np.ndarray, stats: Optional[dict] = None) -> Tuple[np.ndarray, np.ndarray]:
     """Principal real logs of a stack of 2x2 or 3x3 matrices, shape (k, n, n).
 
-    Returns (logs, ok). ok[i] is False when the spectrum of M[i] touches the
-    closed negative real axis, where no principal branch exists; logs[i] is
-    zero there. No eigenvector basis is formed: every log is a polynomial of
-    degree n - 1 in N = M - s I, for s the centre of an eigenvalue pair
-    a, b = s +- sqrt(q), with coefficients from the eigenvalues in closed
-    form, evaluated on entry-major vectors of length k. Each matrix is first
-    divided by a power of two near its largest element.
+    Returns (logs, ok). ok[i] is False, and logs[i] zero, where M[i] has no
+    principal log (a spectrum touching the closed negative real axis) or its
+    eigenvalue moduli spread past COND_LIMIT (doubles lose the small ones).
+    No eigenvector basis is formed: every log is a polynomial of degree n - 1
+    in N = M - s I, s the centre of an eigenvalue pair a, b = s +- sqrt(q),
+    with closed-form coefficients on entry-major vectors of length k, each
+    matrix first divided by a power of two near its largest element.
 
     2x2: log M = (1/2) log det M I + f[a, b] N (_log_slope).
     3x3: the real eigenvalue r = m + mu, for m = tr M / 3 and mu the
@@ -896,7 +897,8 @@ def _principal_logs(M: np.ndarray, stats: Optional[dict] = None) -> Tuple[np.nda
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         if n == 2:
             s, q, det = _pair(E)
-            ok = _pair_off_axis(s, q, det)
+            big = np.abs(s) + np.sqrt(np.maximum(q, 0.0))  # a conjugate pair has s^2 <= det
+            ok = _pair_off_axis(s, q, det) & (big * big <= COND_LIMIT * np.abs(det))
             clustered = ok & (q == 0.0)
             e0, e1 = 0.5 * np.log(det), _log_slope(s, q, det)
         else:
@@ -910,11 +912,12 @@ def _principal_logs(M: np.ndarray, stats: Optional[dict] = None) -> Tuple[np.nda
             radius = np.maximum(np.abs(mu), 0.5 * np.abs(mu) + np.sqrt(np.abs(P + 0.75 * mu * mu)))
             clustered = (m > 0.0) & (radius <= _CLUSTER * m)
             s, q, det = _pair(_deflate(E, r))
-            ok = (r > 0.0) & (_det3(E) > 0.0) & (clustered | _pair_off_axis(s, q, det))
-            clustered &= ok
             w = np.sqrt(q + 0j)
             a = s + w
             b = np.where(q > 0.0, det / a, s - w)  # s - w would cancel a small eigenvalue
+            spread = np.abs([r, a, b]).max(axis=0) <= COND_LIMIT * np.abs([r, a, b]).min(axis=0)
+            ok = (r > 0.0) & (_det3(E) > 0.0) & (clustered | spread & _pair_off_axis(s, q, det))
+            clustered &= ok
             d_ab, d_ra, d_rb = np.abs(a - b), np.abs(r - a), np.abs(r - b)
             e1 = _log_slope(s, q, det)
             f_ra, f_rb = _log_dd(r, a), _log_dd(r, b)

@@ -62,12 +62,13 @@ class StrainTensor:
 
 
 def scale_function(r: float, lam: "float | np.ndarray") -> "float | np.ndarray":
-    """Scalar generator e_r(lambda) of the strain family, with e_0 = ln."""
+    """Scalar generator e_r(lambda) of the strain family, with e_0 = ln; inf past the double range."""
     lam = np.asarray(lam, dtype=float)
     if r == 0.0:
         out = np.log(lam)
     else:
-        out = (lam ** (2.0 * r) - 1.0) / (2.0 * r)
+        with np.errstate(over="ignore"):
+            out = (lam ** (2.0 * r) - 1.0) / (2.0 * r)
     return float(out) if out.ndim == 0 else out
 
 
@@ -90,13 +91,7 @@ def seth_hill(U: Mat, r: float, kind: str = "material") -> StrainTensor:
         If U is not symmetric positive definite.
     """
     r = float(r)
-    U = as_square(U, "U")
-    if r == 0.0:
-        value = principal_log_spd(U)
-    else:
-        n = U.shape[0]
-        value = (spd_function(U, lambda w: w ** (2.0 * r), "U") - np.eye(n)) / (2.0 * r)
-    return StrainTensor(value=value, kind=kind, order=r)
+    return StrainTensor(value=spd_function(U, lambda w: scale_function(r, w), "U"), kind=kind, order=r)
 
 
 def hencky_tensor(U: Mat, kind: str = "material") -> StrainTensor:

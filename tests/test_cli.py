@@ -470,6 +470,15 @@ class TestPath:
         assert proc.stderr.startswith("invalid input: floating-point overflow")
         assert len(proc.stderr.splitlines()) == 1
 
+    def test_shear_stress_overflow_exits_2(self, capsys):
+        # gamma = 2 sinh(9.4): the principal Kirchhoff stresses are not finite
+        code, out, err = run_cli(shlex.split(
+            "path --mode simple_shear --model exp_hencky --mu 1 --kappa 1 --k 4 "
+            "--khat 0.5 --from 12088 --to 12089 --steps 2"
+        ), capsys)
+        assert code == 2
+        assert err.startswith("invalid input: floating-point overflow (Kirchhoff stress")
+
 
 class TestErrorExits:
     """Every rejected input ends in one stderr line and its exit code."""

@@ -88,8 +88,6 @@ class TestMaterialModel:
     def test_lame_conversion(self):
         m = MaterialModel(kind="hencky", mu=1.5, kappa=2.0)
         assert lame_lambda(m, 3) == pytest.approx(2.0 - 1.0, abs=1e-15)
-        pinned = MaterialModel(kind="hencky", mu=1.5, kappa=2.0, lam=0.3)
-        assert lame_lambda(pinned, 3) == 0.3
 
     def test_motion_sample_validation(self):
         with pytest.raises(NonPositiveDeterminantError):
@@ -175,7 +173,8 @@ class TestEnergy:
             assert energy(m, F) == pytest.approx(math.log(lam) ** 2, abs=1e-12)
 
     def test_biot_diagonal(self):
-        m = MaterialModel(kind="biot_linear", mu=1.0, kappa=1.0, lam=0.5)
+        # lame_lambda = kappa - 2 mu / 3 = 0.5
+        m = MaterialModel(kind="biot_linear", mu=1.0, kappa=7.0 / 6.0)
         assert energy(m, np.diag([2.0, 1.0, 1.0])) == pytest.approx(1.25, abs=1e-13)
 
     def test_objectivity_and_isotropy(self):

@@ -144,6 +144,19 @@ def test_spectra_touching_the_axis_are_skipped():
     assert not logs[:6].any()
 
 
+def test_spectra_spread_past_the_condition_limit_are_skipped():
+    # eigenvalues 1, 2.1e-45 and 2e-221: no double-precision kernel resolves
+    # the two small ones, and the log came out -305.5 at [1, 1] instead of 0
+    wide = np.array([[2.1e-45, 0.0, -3.9e-150], [0.0, 1.0, 0.0], [1.09e-116, 0.0, 0.0]])
+    logs, ok = _principal_logs(np.stack([wide, np.diag([2.0, 1.0, 1e-15]), np.diag([2.0, 1.0, 1e-13])]))
+    assert ok.tolist() == [False, False, True]
+    assert not logs[:2].any()
+    assert rel_error(np.diag([2.0, 1.0, 1e-13])) <= 1e-14
+    # spreads 1e15 (skipped) and about 2.9e13 (kept)
+    logs, ok = _principal_logs(np.stack([np.diag([1.0, 1e-15]), 1e-8 * rot2(1.0) @ np.diag([1e7, 1e-7])]))
+    assert ok.tolist() == [False, True]
+
+
 def test_stacked_results_equal_single_ones():
     rng = np.random.default_rng(5)
     for n in (2, 3):

@@ -9,6 +9,11 @@ F scaled by 1e+-150, in two and three dimensions.
 The principal log of a rotation is checked against 50-digit references at
 hard angles: tiny, near pi, repeated over several planes, and distinct
 but all near pi.
+
+The squared distance, the two logarithmic measures and every energy are
+checked against 50-digit references at repeated singular values, singular
+values 1 +- 1e-8, condition numbers near matcore.COND_LIMIT and F scaled by
+1e+-150; a value past the double range must raise OverflowError.
 """
 
 import math
@@ -32,6 +37,7 @@ from geolog.geodesy import (
     omega_vol,
 )
 from geolog.matcore import (
+    COND_LIMIT,
     AngleAtPiError,
     MetricParams,
     _spectrum_of,
@@ -222,3 +228,145 @@ def test_rotation_log_splits_distinct_angles_near_pi(n, angles):
     d = sorted(float(angle[3:]) for angle in angles if angle.startswith("pi-"))
     tol = 2.0 * math.pi * (np.finfo(float).eps / 2.0) / (d[0] + d[1])
     assert float(np.max(np.abs(principal_log_rotation(Q) - W))) <= tol
+
+
+SVK = MaterialModel(kind="svk", mu=0.5, kappa=1.5)
+EXP_HENCKY_NORMALIZED = MaterialModel(
+    kind="exp_hencky", mu=0.5, kappa=1.5, k=0.8, khat=0.3, normalized=True
+)
+EPS = float(np.finfo(float).eps)
+
+
+def _potential(mp, mu, kappa, e):
+    mean = mp.fsum(e) / len(e)
+    return mu * mp.fsum((x - mean) ** 2 for x in e) + kappa / 2 * mp.fsum(e) ** 2
+
+
+def _exp_hencky(mp, model, l):
+    mean = mp.fsum(l) / len(l)
+    grow = mp.expm1 if model.normalized else mp.exp
+    iso = model.mu * grow(model.k * mp.fsum((x - mean) ** 2 for x in l)) / model.k
+    return iso + model.kappa * grow(model.khat * mp.fsum(l) ** 2) / (2 * model.khat)
+
+
+# name: (closed form of F, its value from the singular values s at working precision)
+SPECTRAL_FORMS = {
+    "dist_squared_to_SO": (
+        lambda F: dist_squared_to_SO(F, METRIC).squared_distance,
+        lambda mp, s: _potential(mp, METRIC.mu, METRIC.kappa, [mp.log(x) for x in s]),
+    ),
+    "omega_iso": (omega_iso, lambda mp, s: mp.sqrt(_potential(mp, 1, 0, [mp.log(x) for x in s]))),
+    "omega_vol": (omega_vol, lambda mp, s: abs(mp.fsum(mp.log(x) for x in s))),
+    "energy.hencky": (
+        lambda F: energy(HENCKY, F),
+        lambda mp, s: _potential(mp, HENCKY.mu, HENCKY.kappa, [mp.log(x) for x in s]),
+    ),
+    "energy.exp_hencky": (
+        lambda F: energy(EXP_HENCKY, F),
+        lambda mp, s: _exp_hencky(mp, EXP_HENCKY, [mp.log(x) for x in s]),
+    ),
+    "energy.exp_hencky.normalized": (
+        lambda F: energy(EXP_HENCKY_NORMALIZED, F),
+        lambda mp, s: _exp_hencky(mp, EXP_HENCKY_NORMALIZED, [mp.log(x) for x in s]),
+    ),
+    "energy.biot_linear": (
+        lambda F: energy(BIOT, F),
+        lambda mp, s: _potential(mp, BIOT.mu, BIOT.kappa, [x - 1 for x in s]),
+    ),
+    "energy.svk": (
+        lambda F: energy(SVK, F),
+        lambda mp, s: _potential(mp, SVK.mu, SVK.kappa, [(x * x - 1) / 2 for x in s]),
+    ),
+}
+
+
+def _reference(mp, value_of, s):
+    """The 50-digit value of a spectral form at singular values s, and its
+    tolerance: how far the value moves when one log-stretch log s_i moves
+    by delta_i = 8 eps s_0 / s_i + 4 eps max_j |log s_j| either way, summed
+    over i, plus 16 eps of the value. The first term of delta_i is the
+    backward error of the SVD, which gets each s_i only to about
+    eps s_0 (as in bench/reference.py); the second covers the rounding of
+    log s_i and of the sums over the log-stretches; 16 eps covers the
+    rounding of the final few operations."""
+    value = value_of(mp, s)
+    reach = 4 * EPS * max(abs(mp.log(x)) for x in s)
+    tol = 16 * EPS * abs(value)
+    for i in range(len(s)):
+        delta = 8 * EPS * s[0] / s[i] + reach
+        moved = (value_of(mp, s[:i] + [s[i] * mp.exp(sign * delta)] + s[i + 1:]) for sign in (1, -1))
+        tol += max(abs(m - value) for m in moved)
+    return value, tol
+
+
+def _spectral_F(kind, n, angles, a, b, c):
+    """F = P diag(s) Q^T of one hard kind, from numbers a, b, c in [0, 1]."""
+    P, Q = _rotation(n, angles[:3]), _rotation(n, angles[3:])
+    if kind == "repeated":
+        s = [10.0 ** (2 * a - 1)] * 2 + [10.0 ** (2 * b - 1)]
+    elif kind == "near_one":
+        s = [1.0 + 1e-8 * (2 * x - 1) for x in (a, b, c)]
+    elif kind == "ill_conditioned":  # cond 10^12.5 to 10^13.7
+        top, span = 2 * a - 1, 12.5 + 1.2 * b
+        s = [10.0 ** top, 10.0 ** (top - c * span), 10.0 ** (top - span)]
+        s = s[:1] + s[2:] if n == 2 else s
+    else:  # "scaled": 1e+-150 times a repeated or generic spectrum
+        s = [10.0 ** (150 * (1 if c > 0.5 else -1) + a - 0.5)] * 3
+        s[-1] *= 10.0 ** (b - 0.5)
+        s[0] *= 10.0 ** ((c % 0.5) - 0.25)
+    return P @ np.diag(s[:n]) @ Q.T
+
+
+def test_spectral_forms_match_50_digit_references_on_hard_inputs():
+    pytest.importorskip("hypothesis")
+    mpmath = pytest.importorskip("mpmath")
+    from hypothesis import given, settings, strategies as st
+
+    unit = st.floats(0.0, 1.0)
+
+    @settings(derandomize=True, max_examples=150, deadline=None, database=None)
+    @given(
+        st.sampled_from(("repeated", "near_one", "ill_conditioned", "scaled")),
+        st.sampled_from((2, 3)),
+        st.lists(st.floats(-math.pi, math.pi), min_size=6, max_size=6),
+        unit, unit, unit,
+    )
+    def check(kind, n, angles, a, b, c):
+        F = _spectral_F(kind, n, angles, a, b, c)
+        with mpmath.workdps(50):
+            s = sorted(mpmath.svd_r(mpmath.matrix(F.tolist()), compute_uv=False), reverse=True)
+            assert s[0] / s[-1] < COND_LIMIT
+            for name, (form, value_of) in SPECTRAL_FORMS.items():
+                ref, tol = _reference(mpmath, value_of, list(s))
+                try:
+                    value = form(F)
+                except OverflowError:
+                    assert ref + tol > np.finfo(float).max, (name, kind, F.tolist())
+                else:
+                    assert abs(value - ref) <= tol, (name, kind, F.tolist(), value, ref, tol)
+
+    check()
+
+
+@pytest.mark.parametrize("model", [BIOT, SVK, HENCKY, EXP_HENCKY], ids=lambda m: m.kind)
+def test_energy_past_the_double_range_raises(model):
+    # 1e160 id: the Biot energy is about 5e320 and the svk one about 1e641;
+    # the logarithmic ones stay finite (hencky) or overflow in exp (exp_hencky)
+    F = 1e160 * np.eye(3)
+    if model.kind == "hencky":
+        assert energy(model, F) == pytest.approx(1.5 * 0.5 * (3 * 160 * math.log(10)) ** 2, rel=1e-14)
+    else:
+        with pytest.raises(OverflowError):
+            energy(model, F)
+
+
+@pytest.mark.parametrize("log_stretch", [9.4, 9.3952])
+def test_kirchhoff_stress_past_the_double_range_raises(log_stretch):
+    # at 9.4 the energy is 2.47e306, but 2 mu exp(k ||dev log U||^2) dev_i is
+    # not finite; at 9.3952 it is 9.0e307, and twice it, as the symmetrization
+    # of the stress tensor adds it to itself, is not
+    model = MaterialModel(kind="exp_hencky", mu=1.0, kappa=1.0, k=4.0, khat=0.5)
+    F = np.diag([math.exp(log_stretch), math.exp(-log_stretch)])
+    assert math.isfinite(energy(model, F))
+    with pytest.raises(OverflowError):
+        kirchhoff_stress(model, F)
