@@ -176,10 +176,13 @@ def energy(model: MaterialModel, F: Mat) -> float:
         If the energy leaves the double range.
     """
     e = scale_function(MODEL_KINDS[model.kind], stretch_spectrum(F)[1]).tolist()
-    if model.kind == "exp_hencky":
-        value = energy_from_logs(model, e)
-    else:
-        value = quadratic_potential(model.mu, model.kappa, e)
+    try:
+        if model.kind == "exp_hencky":
+            value = energy_from_logs(model, e)
+        else:
+            value = quadratic_potential(model.mu, model.kappa, e)
+    except OverflowError:  # Python's float ** and math.exp raise rather than reach inf
+        value = math.inf
     if not math.isfinite(value):
         raise OverflowError(f"{model.kind} energy overflows double precision")
     return value

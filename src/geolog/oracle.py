@@ -13,14 +13,18 @@ the evaluation might be scheduled); reductions always run in sample order.
 Only the wall time in a verdict's stats varies from run to run.
 
 Inner loops avoid numpy calls on tiny matrices, whose dispatch cost dwarfs
-their arithmetic. The path kernels hold matrix stacks entry-major, shape
-(n, n, ...) with the long axes last, so for any n each numpy call works on
-vectors of N x 16 entries: a product is one broadcast multiply and a sum
-over a length-n axis, a 2x2 inverse the adjugate; a leading stack axis
-takes a Newton step's Hessian probes in one call. The log sampling takes
-its principal logs the same way, entry-major over the samples, from
-closed-form eigenvalues. The rotation searches evaluate their misfits in
-Python floats.
+their arithmetic. The path kernels hold node stacks entry-major, shape
+(n, n, ..., N+1) with the long axes last, so for any n each numpy call works
+on vectors of N x 16 entries: a product is one broadcast multiply and a sum
+over a length-n axis, a 2x2 inverse the adjugate. The planar objective
+writes its nodes, X0_k (id + xi_k) and the start rotation, out by entries
+in that layout, and pulls the gradient back the same way. A stack axis takes
+x and a Newton step's 12 Hessian probes in one call, on an 8-point rule
+where the energy and the reported length take 16 points (_path_hessian
+says why 8 suffice). The log sampling takes its principal logs the same
+way, entry-major over the samples, from closed-form eigenvalues, and
+logmin_oracle and weighted_logmin_oracle on one F and config share one
+sampling. The rotation searches evaluate their misfits in Python floats.
 """
 
 from __future__ import annotations
@@ -28,6 +32,7 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass, field
+from functools import lru_cache
 from typing import Callable, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -137,12 +142,6 @@ def _rot2(theta: float) -> np.ndarray:
     return np.array(_rot2_rows(theta))
 
 
-def _rot2_stack(theta: np.ndarray) -> np.ndarray:
-    """Planar rotations by every angle of an array, shape theta.shape + (2, 2)."""
-    c, s = np.cos(theta), np.sin(theta)
-    return np.stack([np.stack([c, -s], axis=-1), np.stack([s, c], axis=-1)], axis=-2)
-
-
 def _rot3_rows(w: Sequence[float]) -> Tuple[Tuple[float, float, float], ...]:
     """Rows of exp([w]_x) = id + a K + b K^2 in Python floats, K = [w]_x and
     K^2 = w w^T - theta^2 id (Rodrigues; series near zero)."""
@@ -197,15 +196,17 @@ def _random_rotations(rng: np.random.Generator, n: int, count: int) -> np.ndarra
     on `count`.
     """
     if n == 2:
-        return _rot2_stack(rng.uniform(-math.pi, math.pi, size=count))
-    # uniform on SO(3) via normalized quaternions
-    q = rng.standard_normal((count, 4))
-    a, b, c, d = (q / np.linalg.norm(q, axis=1, keepdims=True)).T
-    rows = [
-        [a * a + b * b - c * c - d * d, 2 * (b * c - a * d), 2 * (b * d + a * c)],
-        [2 * (b * c + a * d), a * a - b * b + c * c - d * d, 2 * (c * d - a * b)],
-        [2 * (b * d - a * c), 2 * (c * d + a * b), a * a - b * b - c * c + d * d],
-    ]
+        theta = rng.uniform(-math.pi, math.pi, size=count)
+        c, s = np.cos(theta), np.sin(theta)
+        rows = [[c, -s], [s, c]]
+    else:  # uniform on SO(3) via normalized quaternions
+        q = rng.standard_normal((count, 4))
+        a, b, c, d = (q / np.linalg.norm(q, axis=1, keepdims=True)).T
+        rows = [
+            [a * a + b * b - c * c - d * d, 2 * (b * c - a * d), 2 * (b * d + a * c)],
+            [2 * (b * c + a * d), a * a - b * b + c * c - d * d, 2 * (c * d - a * b)],
+            [2 * (b * d - a * c), 2 * (c * d + a * b), a * a - b * b - c * c + d * d],
+        ]
     return np.stack([np.stack(row, axis=-1) for row in rows], axis=-2)
 
 
@@ -348,15 +349,17 @@ def _gauss_legendre(m: int) -> Tuple[np.ndarray, np.ndarray]:
     return 0.5 * (x + 1.0), V[0] ** 2
 
 
-_GL_T, _GL_W = _gauss_legendre(16)
+_GL16 = _gauss_legendre(16)
+_GL8 = _gauss_legendre(8)  # the Hessian probes' rule; see _path_hessian
 
 
-def _in_gl_plus(nodes: np.ndarray) -> bool:
-    """Whether every chord A -> A + D of a planar node stack (N+1, 2, 2)
-    stays in GL+: det(A + tD) = q0 + lin t + q2 t^2 is positive at both
-    ends and, where its vertex -lin / (2 q2) lies in (0, 1), there too."""
-    E = np.reshape(nodes, (-1, 4)).T  # the entries a, b, c, d of every node
-    (a, b, c, d), (da, db, dc, dd) = E, E[:, 1:] - E[:, :-1]
+def _in_gl_plus(E: np.ndarray) -> bool:
+    """Whether every chord A -> A + D of a planar entry-major node stack
+    E (2, 2, N+1) stays in GL+: det(A + tD) = q0 + lin t + q2 t^2 is
+    positive at both ends and, where its vertex -lin / (2 q2) lies in
+    (0, 1), there too."""
+    (a, b), (c, d) = E
+    (da, db), (dc, dd) = E[..., 1:] - E[..., :-1]
     det = a * d - b * c
     q0, q2 = det[:-1], da * dd - db * dc
     lin = det[1:] - q0 - q2
@@ -369,13 +372,14 @@ def _entry_matmul(P: np.ndarray, Q: np.ndarray) -> np.ndarray:
     return (P[:, :, np.newaxis] * Q).sum(axis=1)
 
 
-def _chords(X: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-    """M_q^-1 and Z_q = M_q^-1 D for every chord A -> A + D of a node stack
-    X (..., N+1, n, n), with M_q = A + t_q D on the rule of _polyline_length;
-    both entry-major, of shape (n, n, ..., N, 16)."""
-    E = np.ascontiguousarray(np.moveaxis(X, (-2, -1), (0, 1)))[..., np.newaxis]
+def _chords(E: np.ndarray, t: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """M_q^-1 and Z_q = M_q^-1 D for every chord A -> A + D of an
+    entry-major node stack E (n, n, ..., N+1), with M_q = A + t_q D at the
+    nodes t of a quadrature rule on [0, 1]; both of shape
+    (n, n, ..., N, len(t))."""
+    E = E[..., np.newaxis]
     D = E[..., 1:, :] - E[..., :-1, :]
-    M = E[..., :-1, :] + _GL_T * D
+    M = E[..., :-1, :] + t * D
     if M.shape[0] == 2:  # the adjugate
         (a, b), (c, d) = M
         M_inv = np.array([[d, -b], [-c, a]]) / (a * d - b * c)
@@ -384,8 +388,9 @@ def _chords(X: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
     return M_inv, _entry_matmul(M_inv, D)
 
 
-def _polyline_length(path: Sequence, p: MetricParams) -> float:
-    """Length of a polyline in the p-weighted left-invariant metric.
+def _polyline_length(E: np.ndarray, p: MetricParams) -> float:
+    """Length of the polyline of a planar entry-major node stack E
+    (2, 2, N+1) in the p-weighted left-invariant metric.
 
     Each chord A -> A + D contributes the integral over t in [0, 1] of
     ||(A + tD)^-1 D||_p, taken with a 16-point Gauss-Legendre rule. Any
@@ -393,56 +398,74 @@ def _polyline_length(path: Sequence, p: MetricParams) -> float:
     geodesic distance, so this is an upper bound on dist(F, SO(2)). A chord
     that leaves GL+ makes the length infinite.
     """
-    nodes = np.asarray(path, dtype=float).reshape(-1, 2, 2)
-    if not _in_gl_plus(nodes):
+    if not _in_gl_plus(E):
         return math.inf
-    return float(np.sum(_stacked_weighted_norms(_chords(nodes)[1], p) @ _GL_W))
+    t, w = _GL16
+    return float(np.sum(_stacked_weighted_norms(_chords(E, t)[1], p) @ w))
 
 
-def _path_energy(X: np.ndarray, p: MetricParams) -> Tuple[np.ndarray, np.ndarray]:
-    """Discrete path energy of a node stack X (..., N+1, n, n) in GL+, and
-    its gradient, for every stack along the leading axes.
+def _path_energy(
+    E: np.ndarray, p: MetricParams, rule: Tuple[np.ndarray, np.ndarray] = _GL16
+) -> Tuple[np.ndarray, np.ndarray]:
+    """Discrete path energy of an entry-major node stack E (n, n, ..., N+1)
+    in GL+, and its gradient, of the same shape, for every stack along the
+    axes between.
 
     E = N sum_chords sum_q w_q ||Z_q||_p^2, with Z_q = M_q^-1 D and
-    M_q = A + t_q D for the chord A -> A + D, on the rule of
-    _polyline_length. Its minimizers move at constant speed (discrete
-    geodesics), and the polyline's length is at most sqrt(E) (Cauchy-
-    Schwarz). With G = 2 N w_q _metric_map(Z_q) and H = M_q^-T G, the chord
-    adds sum_q (H - t_q H Z_q^T) to the gradient at its end node and
-    sum_q (-H - (1 - t_q) H Z_q^T) at its start node.
+    M_q = A + t_q D for the chord A -> A + D, on the quadrature rule (t, w),
+    by default that of _polyline_length. Its minimizers move at constant
+    speed (discrete geodesics), and the polyline's length is at most
+    sqrt(E) (Cauchy-Schwarz). With G = 2 N w_q _metric_map(Z_q) and
+    H = M_q^-T G, the chord adds sum_q (H - t_q H Z_q^T) to the gradient at
+    its end node and sum_q (-H - (1 - t_q) H Z_q^T) at its start node.
     """
-    M_inv, Z = _chords(X)
-    G = (2.0 * (X.shape[-3] - 1)) * _GL_W * _metric_map(Z, p)
+    t, w = rule
+    M_inv, Z = _chords(E, t)
+    G = (2.0 * (E.shape[-1] - 1)) * w * _metric_map(Z, p)
     H = _entry_matmul(M_inv.swapaxes(0, 1), G)
     HZt = _entry_matmul(H, Z.swapaxes(0, 1))
-    at_end = (H - _GL_T * HZt).sum(axis=-1)
-    grad = np.zeros(X.shape[-2:] + X.shape[:-2])
+    at_end = (H - t * HZt).sum(axis=-1)
+    grad = np.zeros(E.shape)
     grad[..., 1:] = at_end
     grad[..., :-1] -= at_end + HZt.sum(axis=-1)
-    return 0.5 * (Z * G).sum(axis=(0, 1, -2, -1)), np.moveaxis(grad, (0, 1), (-2, -1))
+    return 0.5 * (Z * G).sum(axis=(0, 1, -2, -1)), grad
 
 
 def _path_hessian(
-    x: np.ndarray, g: np.ndarray, energy: Callable
+    x: np.ndarray, energy: Callable
 ) -> Tuple[np.ndarray, np.ndarray, Optional[Tuple[float, np.ndarray]]]:
-    """Hessian of the path energy at x with gradient g (variables as in
-    _path_objective): the diagonal blocks of the interior nodes, a stack
-    (N-1, 4, 4), the blocks below them, (N-2, 4, 4), and, with the angle
-    free, its diagonal entry and its 4-vector coupling to interior node 1
-    (else None).
+    """Hessian of the path energy at x (variables as in _path_objective):
+    the diagonal blocks of the interior nodes, a stack (N-1, 4, 4), the
+    blocks below them, (N-2, 4, 4), and, with the angle free, its diagonal
+    entry and its 4-vector coupling to interior node 1 (else None).
 
     A chord couples only its two end nodes, and the free start angle only
     interior node 1. So with interior node k in colour k mod 3 and the angle
-    in colour 0, 12 forward gradient differences, one stacked energy call,
-    give every nonzero entry (Curtis, Powell and Reid, IMA J. Appl. Math.
-    1974), symmetrized.
+    in colour 0, 12 forward gradient differences give every nonzero entry
+    (Curtis, Powell and Reid, IMA J. Appl. Math. 1974), symmetrized. x and
+    its 12 probes go through one stacked energy call, and every difference
+    is taken against the row for x of that call: against the gradient of
+    another rule, the gap between the two rules, divided by the step, would
+    swamp the difference.
+
+    That call takes the 8-point rule _GL8, not the 16-point rule of the
+    energy itself. A chord's integrand is rational in t, with poles at the
+    zeros t = -1/lambda of det(A + tD), lambda the eigenvalues of A^-1 D,
+    and an m-point Gauss rule errs by about rho^(-2m), rho > 1 the largest
+    Bernstein ellipse about [0, 1] that no pole enters (Trefethen, SIAM
+    Rev. 2008). For |lambda| <= 1/2 every pole has |t| >= 2, so
+    rho >= 3 + 2 sqrt 2 and 8 points err by about 6e-13 of the entry, far
+    below the 1e-7 of the forward difference. A longer chord, or one with
+    lambda near -1, only makes the step less exact: the energy, gradient,
+    Armijo test and stop rule that judge it take 16 points.
     """
     free, n_int = x.size % 4, x.size // 4
     h = (x + 1e-7 * np.maximum(1.0, np.abs(x))) - x
     group = 4 * (np.arange(1, n_int + 1) % 3)[:, np.newaxis] + np.arange(4)  # [node, entry]
-    probes = np.zeros((12, x.size))
-    probes[np.concatenate([np.zeros(free, dtype=int), group.ravel()]), np.arange(x.size)] = h
-    dg = energy(x + probes)[1] - g
+    probes = np.zeros((13, x.size))  # row 0 is x itself
+    probes[1 + np.concatenate([np.zeros(free, dtype=int), group.ravel()]), np.arange(x.size)] = h
+    grads = energy(x + probes, _GL8)[1]
+    dg = grads[1:] - grads[0]
     dn, hn = dg[:, free:].reshape(12, n_int, 4), h[free:].reshape(n_int, 4)
 
     def block(rows: np.ndarray, cols: np.ndarray) -> np.ndarray:  # at (rows[a], cols[a])
@@ -534,7 +557,7 @@ def _newton(
         if stats["evaluations"] + 12 > max_evals:
             stats["stop"] = "evaluations"
             return
-        diag, sub, angle = _path_hessian(x, g, energy)
+        diag, sub, angle = _path_hessian(x, energy)
         stats["evaluations"] += 12
         # carry a quarter of tau over until it reaches the floor; searching
         # afresh on each step costs more failed factorizations
@@ -605,36 +628,51 @@ def _path_objective(
     X0: np.ndarray, theta0: Optional[float], p: MetricParams
 ) -> Tuple[np.ndarray, Callable, Callable]:
     """Variables and objective of the path search for polylines shaped like
-    the planar node stack X0.
+    the planar node stack X0 (N+1, 2, 2).
 
     x is the free start angle (none if theta0 is None: node 0 stays that of
     X0) and one xi_k per interior node, placed at X0_k (id + xi_k); node N
     stays F. As the metric is left-invariant, xi_k weighs moves the way the
     metric does at the start; in raw entries a node with a small singular
     value s weighs about 1/s^2 more, which stalled an earlier quasi-Newton
-    descent 2% above the distance. Returns x0, nodes_of (x -> node stack)
-    and energy (x -> _path_energy and its gradient in x); both map every
-    vector along leading stack axes of x, and energy assumes the polyline
-    lies in GL+.
+    descent 2% above the distance. Returns x0, nodes_of (x -> entry-major
+    node stack (2, 2, ..., N+1)) and energy ((x, rule) -> _path_energy and
+    its gradient in x); both map every vector along leading stack axes of
+    x, entry by entry, and energy assumes the polyline lies in GL+.
     """
     n_seg = X0.shape[0] - 1
     free = int(theta0 is not None)
-    interior = X0[1:n_seg]
+    E0 = np.moveaxis(X0, 0, -1)
+    inner = E0[..., 1:n_seg]  # the entries of X0_k, k = 1 .. N-1
 
     def nodes_of(x: np.ndarray) -> np.ndarray:
-        X = np.broadcast_to(X0, x.shape[:-1] + X0.shape).copy()
+        E = np.empty((2, 2) + x.shape[:-1] + (n_seg + 1,))
+        fixed = (2, 2) + (1,) * (x.ndim - 1)  # a node broadcast along the stack axes
+        E[..., n_seg] = E0[..., n_seg].reshape(fixed)
         if free:
-            X[..., 0, :, :] = _rot2_stack(x[..., 0])
-        X[..., 1:n_seg, :, :] += interior @ x[..., free:].reshape(x.shape[:-1] + interior.shape)
-        return X
+            c, s = np.cos(x[..., 0]), np.sin(x[..., 0])
+            E[0, 0, ..., 0], E[0, 1, ..., 0], E[1, 0, ..., 0], E[1, 1, ..., 0] = c, -s, s, c
+        else:
+            E[..., 0] = E0[..., 0].reshape(fixed)
+        xi = x[..., free:]  # entry (i, j) of every xi_k is xi[..., 2 i + j::4]
+        for i in range(2):
+            for j in range(2):
+                prod = inner[i, 0] * xi[..., j::4] + inner[i, 1] * xi[..., 2 + j::4]
+                E[i, j, ..., 1:n_seg] = inner[i, j] + prod
+        return E
 
-    def energy(x: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-        value, grad = _path_energy(nodes_of(x), p)
-        g = (interior.swapaxes(-1, -2) @ grad[..., 1:n_seg, :, :]).reshape(x.shape[:-1] + (-1,))
-        if free:  # d rot2(theta) / d theta = rot2(theta + pi/2)
-            turned = _rot2_stack(x[..., 0] + 0.5 * math.pi)
-            g_theta = np.sum(grad[..., 0, :, :] * turned, axis=(-2, -1))
-            g = np.concatenate([g_theta[..., np.newaxis], g], axis=-1)
+    def energy(
+        x: np.ndarray, rule: Tuple[np.ndarray, np.ndarray] = _GL16
+    ) -> Tuple[np.ndarray, np.ndarray]:
+        value, G = _path_energy(nodes_of(x), p, rule)
+        Gi, G0 = G[..., 1:n_seg], G[..., 0]
+        g = np.empty(x.shape)
+        for i in range(2):  # X0_k^T G_k
+            for j in range(2):
+                g[..., free + 2 * i + j::4] = inner[0, i] * Gi[0, j] + inner[1, i] * Gi[1, j]
+        if free:  # d rot2(theta) / d theta = [[-sin, -cos], [cos, -sin]]
+            c, s = np.cos(x[..., 0]), np.sin(x[..., 0])
+            g[..., 0] = c * (G0[1, 0] - G0[0, 1]) - s * (G0[0, 0] + G0[1, 1])
         return value, g
 
     return np.concatenate([[theta0] if free else [], np.zeros(4 * (n_seg - 1))]), nodes_of, energy
@@ -661,7 +699,7 @@ def _run_path_search(
     theta0 = theta_r if pinned_theta is None else pinned_theta
     X0 = _interp_nodes(F, theta0, cfg.nodes)
     stats = {"start": "interp", "nodes": cfg.nodes}
-    if X0 is None or not _in_gl_plus(X0):
+    if X0 is None or not _in_gl_plus(np.moveaxis(X0, 0, -1)):
         X0 = _two_phase_nodes(F, theta0, theta_r, pol.right_stretch, cfg.nodes)
         stats["start"] = "two_phase"
     x0, nodes_of, energy = _path_objective(X0, theta0 if pinned_theta is None else None, p)
@@ -961,27 +999,44 @@ def _stacked_weighted_norms(S: np.ndarray, p: MetricParams) -> np.ndarray:
     return np.sqrt(np.maximum(np.sum(S * _metric_map(S, p), axis=(0, 1)), 0.0))
 
 
+# One entry: logmin_oracle and weighted_logmin_oracle check one F under one
+# config back to back, and what they sample does not depend on the metric.
+@lru_cache(maxsize=1)
+def _sampled_logs(
+    f_key: bytes, r_key: bytes, n: int, seed: int, samples: int
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray, int]:
+    """The rotations Q of a log sampling of the n x n F with polar rotation
+    R, given by their bytes: R, then `samples` draws from
+    substream(seed, 0). Returns Q, the _principal_logs of every Q^T F with
+    their ok mask, and the count of clustered entries. The last result is
+    remembered, so its arrays are read-only; errors are never remembered."""
+    F, R = (np.frombuffer(key).reshape(n, n) for key in (f_key, r_key))
+    Q = np.concatenate([R[np.newaxis], _random_rotations(substream(seed, 0), n, samples)])
+    stats: dict = {}
+    logs, ok = _principal_logs(np.swapaxes(Q, -1, -2) @ F, stats)
+    for X in (Q, logs, ok):
+        X.setflags(write=False)
+    return Q, logs, ok, stats["clustered"]
+
+
 def _logmin_impl(F: np.ndarray, cfg: OracleConfig, p: MetricParams, claim: str) -> OracleVerdict:
     """Sample rotations Q and compare the p-weighted norm of sym log(Q^T F)
     with the closed form dist(F, SO(n)) under p.
 
     Index 0 of the stack is the polar factor, followed by cfg.samples draws
     from substream(cfg.seed, 0). All Q^T F go through _principal_logs in one
-    stack; samples without a principal log are skipped. The reductions keep
-    sample order: the witness is the first violating sample, or else the
-    first minimizer, and equality with the closed form is judged at the
-    polar factor. The stats give the sample count, the entries skipped (the
+    stack, which the next call on the same F and config reuses whatever its
+    metric (_sampled_logs); samples without a principal log are skipped.
+    The reductions keep sample order: the witness is the first violating
+    sample, or else the first minimizer, and equality with the closed form
+    is judged at the polar factor. The stats give the sample count, the entries skipped (the
     polar factor included) and the clustered entries.
     """
-    n = F.shape[0]
     closed = dist_squared_to_SO(F, p).distance
-    pol = polar_decompose(F)
-    Q = np.concatenate(
-        [pol.rotation[np.newaxis], _random_rotations(substream(cfg.seed, 0), n, int(cfg.samples))]
+    Q, logs, ok, clustered = _sampled_logs(
+        F.tobytes(), polar_decompose(F).rotation.tobytes(), F.shape[0], int(cfg.seed), int(cfg.samples)
     )
-    stats = {"samples": int(cfg.samples)}
-    logs, ok = _principal_logs(np.swapaxes(Q, -1, -2) @ F, stats)
-    stats["skipped"] = int(np.count_nonzero(~ok))
+    stats = {"samples": int(cfg.samples), "clustered": clustered, "skipped": int(np.count_nonzero(~ok))}
     logs = np.moveaxis(logs, (-2, -1), (0, 1))
     values = np.where(ok, _stacked_weighted_norms(0.5 * (logs + logs.swapaxes(0, 1)), p), math.inf)
 

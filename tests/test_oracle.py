@@ -332,12 +332,12 @@ class TestPolylineLength:
     @pytest.mark.parametrize("a", [0.5, 3.0])
     def test_scaling_chord(self, a):
         # (1 + t(a-1))^-1 (a-1) I integrates to the volumetric length 2|ln a|
-        value = _polyline_length([(1.0, 0.0, 0.0, 1.0), (a, 0.0, 0.0, a)], self.P)
+        value = _polyline_length(entry_major([np.eye(2), a * np.eye(2)]), self.P)
         expect = math.sqrt(0.5 * self.P.kappa) * 2.0 * abs(math.log(a))
         assert value == pytest.approx(expect, rel=1e-12)
 
     def test_chord_through_zero_is_infinite(self):
-        assert _polyline_length([(1.0, 0.0, 0.0, 1.0), (-1.0, 0.0, 0.0, -1.0)], self.P) == math.inf
+        assert _polyline_length(entry_major([np.eye(2), -np.eye(2)]), self.P) == math.inf
 
 
 TRIPLES = [MetricParams(1.0, 1.0, 1.0), MetricParams(2.0, 1.0, 1.0), MetricParams(1.0, 3.0, 0.5)]
@@ -346,6 +346,12 @@ F_PATH = np.array([[1.5, 1.2], [-0.7, 0.9]])
 # that leave GL+
 F_HALF_TURN = np.array([[-1.8416284933431886, 0.11435705304008659],
                         [-0.1626564684583851, -1.7506016834004976]])
+
+
+def entry_major(X):
+    """The entry-major node stack (n, n, ..., N+1) of a node-major one
+    (..., N+1, n, n), as the path kernels take it."""
+    return np.moveaxis(np.asarray(X, dtype=float), (-2, -1), (0, 1))
 
 
 def central_differences(f, x, h=1e-6):
@@ -360,7 +366,7 @@ def loop_path_reference(X, p):
     energy, length, grad = 0.0, 0.0, np.zeros_like(X)
     for k in range(n_seg):
         A, D = X[k], X[k + 1] - X[k]
-        for t, w in zip(oracle._GL_T, oracle._GL_W):
+        for t, w in zip(*oracle._GL16):
             M_inv = np.linalg.inv(A + t * D)
             Z = M_inv @ D
             norm = weighted_norm(Z, p)
@@ -376,12 +382,12 @@ def loop_path_reference(X, p):
 
 def assert_matches_loop_reference(X, p):
     energy, grad, length = loop_path_reference(X, p)
-    value, gradient = _path_energy(X, p)
+    value, gradient = _path_energy(entry_major(X), p)
     assert value == pytest.approx(energy, rel=1e-13, abs=0.0)
-    assert gradient.shape == X.shape
-    assert np.max(np.abs(gradient - grad)) <= 1e-13 * np.max(np.abs(grad))
+    assert gradient.shape == entry_major(X).shape
+    assert np.max(np.abs(gradient - entry_major(grad))) <= 1e-13 * np.max(np.abs(grad))
     if X.shape[1] == 2:
-        assert _polyline_length(X, p) == pytest.approx(length, rel=1e-13, abs=0.0)
+        assert _polyline_length(entry_major(X), p) == pytest.approx(length, rel=1e-13, abs=0.0)
 
 
 class TestPathKernels:
@@ -395,7 +401,7 @@ class TestPathKernels:
         X = oracle._two_phase_nodes(F, rng.uniform(-math.pi, math.pi), theta_r,
                                     pol.right_stretch, n_seg)
         X[1:-1] *= 1.0 + 0.02 * rng.standard_normal((n_seg - 1, 2, 2))
-        assert _in_gl_plus(X)
+        assert _in_gl_plus(entry_major(X))
         assert_matches_loop_reference(X, p)
 
     def test_spatial_stack_matches_the_loop_reference(self):
@@ -409,12 +415,12 @@ class TestPathKernels:
         rng = np.random.default_rng(73 + n)
         X = np.eye(n) + 0.3 * np.arange(9)[:, None, None] * rng.standard_normal((9, n, n)) / 9
         stack = X * (1.0 + 0.01 * rng.standard_normal((2, 3, 9, n, n)))
-        values, grads = _path_energy(stack, TRIPLES[1])
-        assert values.shape == (2, 3) and grads.shape == stack.shape
-        for idx in np.ndindex(2, 3):
-            value, grad = _path_energy(stack[idx], TRIPLES[1])
-            assert values[idx] == pytest.approx(value, rel=1e-13, abs=0.0)
-            assert np.max(np.abs(grads[idx] - grad)) <= 1e-13 * np.max(np.abs(grad))
+        values, grads = _path_energy(entry_major(stack), TRIPLES[1])
+        assert values.shape == (2, 3) and grads.shape == (n, n, 2, 3, 9)
+        for i, j in np.ndindex(2, 3):
+            value, grad = _path_energy(entry_major(stack[i, j]), TRIPLES[1])
+            assert values[i, j] == pytest.approx(value, rel=1e-13, abs=0.0)
+            assert np.max(np.abs(grads[:, :, i, j] - grad)) <= 1e-13 * np.max(np.abs(grad))
 
 
 def assemble_lists(diag, sub):
@@ -455,15 +461,14 @@ def spd_block_system(rng, blocks, free):
 class TestNewtonKernels:
     @pytest.mark.parametrize("p", TRIPLES, ids=["frobenius", "mu2", "muc3"])
     @pytest.mark.parametrize("pinned", [False, True], ids=["free", "pinned"])
-    @pytest.mark.parametrize("n_seg", [6, 12])
+    @pytest.mark.parametrize("n_seg", [3, 6, 12])  # 3: long chords, where the probes' rule errs most
     def test_coloured_hessian_matches_central_differences(self, p, pinned, n_seg):
         theta0 = 0.2
         x0, nodes_of, energy = _path_objective(_interp_nodes(F_PATH, theta0, n_seg),
                                                None if pinned else theta0, p)
         x = x0 + 0.05 * np.random.default_rng(79).standard_normal(x0.size)
         assert _in_gl_plus(nodes_of(x))
-        value, g = energy(x)
-        diag, sub, angle = _path_hessian(x, g, energy)
+        diag, sub, angle = _path_hessian(x, energy)
         assert diag.shape == (n_seg - 1, 4, 4) and sub.shape == (n_seg - 2, 4, 4)
         assert (angle is None) == pinned
         dense = central_differences(lambda y: energy(y)[1], x, h=1e-5)
@@ -542,10 +547,11 @@ class TestPathEnergySearch:
     def test_energy_gradient_in_three_dimensions(self):
         rng = np.random.default_rng(59)
         X = np.eye(3) + 0.1 * np.arange(7)[:, None, None] * rng.standard_normal((7, 3, 3)) / 7
-        value, grad = _path_energy(X, TRIPLES[2])
+        E = entry_major(X)
+        value, grad = _path_energy(E, TRIPLES[2])
         numeric = central_differences(
-            lambda y: _path_energy(y.reshape(X.shape), TRIPLES[2])[0], X.ravel()
-        ).reshape(X.shape)
+            lambda y: _path_energy(y.reshape(E.shape), TRIPLES[2])[0], E.ravel()
+        ).reshape(E.shape)
         assert np.max(np.abs(numeric - grad)) <= 1e-8 * np.max(np.abs(grad))
 
     @pytest.mark.parametrize("half_turn", [False, True], ids=["free", "pinned-half-turn"])
@@ -746,3 +752,74 @@ def test_logmin_stats_count_samples_skips_and_fallbacks():
     stats = {}
     _principal_logs(np.stack([np.array([[2.0, 1.0], [0.0, 2.0]]), np.eye(2)]), stats)
     assert stats == {"clustered": 2}
+
+
+class TestSampledLogsMemo:
+    """logmin_oracle and weighted_logmin_oracle on one F and config share one
+    log sampling, and a remembered one gives the verdicts a fresh one does."""
+
+    CFG = OracleConfig(seed=47, samples=300)
+    P = MetricParams(2.0, 0.7, 1.3)
+    F = np.array([[1.2, -0.4, 0.3], [0.5, 0.9, -0.2], [0.1, 0.6, 1.4]])
+
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        """Records the stack size of every _principal_logs call, with the memo
+        cleared before and after."""
+        exact, sizes = oracle._principal_logs, []
+
+        def counting(M, stats=None):
+            sizes.append(len(M))
+            return exact(M, stats)
+
+        monkeypatch.setattr(oracle, "_principal_logs", counting)
+        oracle._sampled_logs.cache_clear()
+        yield sizes
+        oracle._sampled_logs.cache_clear()
+
+    @staticmethod
+    def fields(v):
+        return (v.claim, v.closed_form_value, v.oracle_value, v.relative_gap, v.passed,
+                v.witness.tobytes(), v.stats)
+
+    def test_a_pair_samples_once_and_agrees_with_fresh_samplings(self, calls):
+        hit = [logmin_oracle(self.F, self.CFG), weighted_logmin_oracle(self.F, self.P, self.CFG)]
+        assert calls == [301]
+        fresh = []
+        for run in (lambda: logmin_oracle(self.F, self.CFG),
+                    lambda: weighted_logmin_oracle(self.F, self.P, self.CFG)):
+            oracle._sampled_logs.cache_clear()
+            fresh.append(run())
+        assert calls == [301] * 3
+        assert [self.fields(v) for v in hit] == [self.fields(v) for v in fresh]
+        remembered = oracle._sampled_logs(
+            self.F.tobytes(), polar_decompose(self.F).rotation.tobytes(), 3, 47, 300
+        )
+        assert calls == [301] * 3
+        assert not any(X.flags.writeable for X in remembered[:3])
+
+    def test_another_rotation_seed_or_sample_count_samples_afresh(self, calls, monkeypatch):
+        logmin_oracle(self.F, self.CFG)
+        logmin_oracle(self.F, OracleConfig(seed=48, samples=300))
+        logmin_oracle(self.F, OracleConfig(seed=48, samples=299))
+        turn = np.eye(3)
+        turn[:2, :2] = rot2(0.3)
+        turned = SimpleNamespace(rotation=polar_decompose(self.F).rotation @ turn)
+        monkeypatch.setattr(oracle, "polar_decompose", lambda F: turned)
+        # the same F, seed and sample count as the last call: only the rotation differs
+        v = logmin_oracle(self.F, OracleConfig(seed=48, samples=299))
+        assert calls == [301, 301, 300, 300]
+        assert not v.passed  # the misfit at the turned rotation is not the closed form
+
+    def test_an_error_is_not_remembered(self, calls, monkeypatch):
+        exact = oracle._principal_logs
+
+        def failing(M, stats=None):
+            raise FloatingPointError("planted")
+
+        monkeypatch.setattr(oracle, "_principal_logs", failing)
+        with pytest.raises(FloatingPointError):
+            logmin_oracle(self.F, self.CFG)
+        monkeypatch.setattr(oracle, "_principal_logs", exact)
+        assert logmin_oracle(self.F, self.CFG).passed
+        assert calls == [301]

@@ -351,13 +351,17 @@ def test_spectral_forms_match_50_digit_references_on_hard_inputs():
 @pytest.mark.parametrize("model", [BIOT, SVK, HENCKY, EXP_HENCKY], ids=lambda m: m.kind)
 def test_energy_past_the_double_range_raises(model):
     # 1e160 id: the Biot energy is about 5e320 and the svk one about 1e641;
-    # the logarithmic ones stay finite (hencky) or overflow in exp (exp_hencky)
+    # the logarithmic ones stay finite (hencky) or overflow in exp (exp_hencky).
+    # The spread diagonals overflow a squared strain deviator in Python's
+    # float **, which raises before the sum could reach inf
     F = 1e160 * np.eye(3)
+    spread = {"svk": np.diag([1e150, 1e140, 1e145]), "biot_linear": np.diag([1e300, 1e290, 1e295])}
     if model.kind == "hencky":
         assert energy(model, F) == pytest.approx(1.5 * 0.5 * (3 * 160 * math.log(10)) ** 2, rel=1e-14)
-    else:
-        with pytest.raises(OverflowError):
-            energy(model, F)
+        return
+    for G in [F] + ([spread[model.kind]] if model.kind in spread else []):
+        with pytest.raises(OverflowError, match=f"^{model.kind} energy overflows double precision$"):
+            energy(model, G)
 
 
 @pytest.mark.parametrize("log_stretch", [9.4, 9.3952])
