@@ -65,6 +65,7 @@ from .oracle import (
     substream,
     weighted_logmin_oracle,
     _path_activity,
+    _random_rotations,
 )
 
 EXIT_OK = 0
@@ -465,7 +466,12 @@ def _auto_nodes(F: np.ndarray) -> int:
 
 def _suite_grioli(dim: int, cfg: OracleConfig) -> List[OracleVerdict]:
     spd = np.diag([2.0, 0.5, 1.3][:dim]) + 0.1 * (np.ones((dim, dim)) - np.eye(dim))
-    fixed = [np.eye(dim), spd] + ([np.array([[1.0, 1.0], [0.0, 1.0]])] if dim == 2 else [])
+    fixed = [np.eye(dim), spd]
+    if dim == 2:
+        fixed.append(np.array([[1.0, 1.0], [0.0, 1.0]]))
+    else:  # flat: the misfit barely moves under rotations that mix the two small stretches
+        Q, V = _random_rotations(substream(cfg.seed, 2), 3, 2)
+        fixed.append(Q @ V @ np.diag([1.0, 1e-4, 1e-4]) @ V.T)
     rng = substream(cfg.seed, 1)
     draws = [_random_gl(rng, dim) for _ in range(cfg.samples)]
     return [grioli_oracle(F, cfg) for F in fixed + draws]

@@ -2,10 +2,11 @@
 
 Every engine in this module re-derives a minimum by direct search so the
 closed forms elsewhere in the package can be checked against something that
-does not share their code path: golden-section / multi-start descent over the
-rotation group, discrete geodesics on GL+(2) (Newton's method on the discrete
-path energy of a matrix polyline, whose Hessian is block tridiagonal, judged
-by the polyline's length), and large-sample admissible-logarithm sweeps.
+does not share their code path: an angle scan refined by golden section on
+SO(2) and multi-start Newton descent on SO(3), discrete geodesics on GL+(2)
+(Newton's method on the discrete path energy of a matrix polyline, whose
+Hessian is block tridiagonal, judged by the polyline's length), and
+large-sample admissible-logarithm sweeps.
 
 All randomness is drawn from counter-derived Philox substreams, so a verdict
 is a pure function of the inputs and the config (bitwise, independent of how
@@ -24,7 +25,9 @@ where the energy and the reported length take 16 points (_path_hessian
 says why 8 suffice). The log sampling takes its principal logs the same
 way, entry-major over the samples, from closed-form eigenvalues, and
 logmin_oracle and weighted_logmin_oracle on one F and config share one
-sampling. The rotation searches evaluate their misfits in Python floats.
+sampling. The rotation searches evaluate their misfits in Python floats,
+and the spatial one takes its Newton steps from the same 3x3 product
+Q^T F that gives the misfit.
 """
 
 from __future__ import annotations
@@ -61,6 +64,7 @@ __all__ = [
 
 _KEY_SALT = 0x9E3779B97F4A7C15
 _GAP_FLOOR = 1e-9
+Rows3 = Tuple[Tuple[float, float, float], ...]  # a 3x3 matrix as rows of Python floats
 
 
 @dataclass(frozen=True)
@@ -68,7 +72,7 @@ class OracleConfig:
     """Knobs shared by all verification engines.
 
     nodes counts path segments for the discrete geodesic search. max_iters
-    bounds objective evaluations: per compass-descent start of the spatial
+    bounds objective evaluations: per Newton-descent start of the spatial
     rotation search, and per path search, where Hessian columns count as
     gradient evaluations.
     """
@@ -142,7 +146,7 @@ def _rot2(theta: float) -> np.ndarray:
     return np.array(_rot2_rows(theta))
 
 
-def _rot3_rows(w: Sequence[float]) -> Tuple[Tuple[float, float, float], ...]:
+def _rot3_rows(w: Sequence[float]) -> Rows3:
     """Rows of exp([w]_x) = id + a K + b K^2 in Python floats, K = [w]_x and
     K^2 = w w^T - theta^2 id (Rodrigues; series near zero)."""
     wx, wy, wz = float(w[0]), float(w[1]), float(w[2])
@@ -170,22 +174,19 @@ def _rotation_misfit2(F: np.ndarray) -> Callable[[float], float]:
     return g
 
 
-def _rotation_misfit3(F: np.ndarray) -> Callable[[Sequence[float]], float]:
-    """w -> ||exp([w]_x)^T F - id|| for a 3x3 F, entry by entry in Python floats
-    (the trace form ||F||^2 - 2 tr(Q^T F) + 3 cancels near a rotation)."""
-    (f00, f01, f02), (f10, f11, f12), (f20, f21, f22) = F.tolist()
-
-    def g3(w: Sequence[float]) -> float:
-        (q00, q01, q02), (q10, q11, q12), (q20, q21, q22) = _rot3_rows(w)
-        return math.hypot(
-            q00 * f00 + q10 * f10 + q20 * f20 - 1.0, q00 * f01 + q10 * f11 + q20 * f21,
-            q00 * f02 + q10 * f12 + q20 * f22, q01 * f00 + q11 * f10 + q21 * f20,
-            q01 * f01 + q11 * f11 + q21 * f21 - 1.0, q01 * f02 + q11 * f12 + q21 * f22,
-            q02 * f00 + q12 * f10 + q22 * f20, q02 * f01 + q12 * f11 + q22 * f21,
-            q02 * f02 + q12 * f12 + q22 * f22 - 1.0,
-        )
-
-    return g3
+def _misfit3(Q: Rows3, F: Rows3) -> Tuple[float, Rows3]:
+    """(||Q^T F - id||, Q^T F) for 3x3 rows in Python floats, the norm entry
+    by entry (the trace form ||F||^2 - 2 tr(Q^T F) + 3 cancels near a rotation)."""
+    (q00, q01, q02), (q10, q11, q12), (q20, q21, q22) = Q
+    (f00, f01, f02), (f10, f11, f12), (f20, f21, f22) = F
+    M = ((q00 * f00 + q10 * f10 + q20 * f20, q00 * f01 + q10 * f11 + q20 * f21,
+          q00 * f02 + q10 * f12 + q20 * f22),
+         (q01 * f00 + q11 * f10 + q21 * f20, q01 * f01 + q11 * f11 + q21 * f21,
+          q01 * f02 + q11 * f12 + q21 * f22),
+         (q02 * f00 + q12 * f10 + q22 * f20, q02 * f01 + q12 * f11 + q22 * f21,
+          q02 * f02 + q12 * f12 + q22 * f22))
+    (m00, m01, m02), (m10, m11, m12), (m20, m21, m22) = M
+    return math.hypot(m00 - 1.0, m01, m02, m10, m11 - 1.0, m12, m20, m21, m22 - 1.0), M
 
 
 def _random_rotations(rng: np.random.Generator, n: int, count: int) -> np.ndarray:
@@ -252,31 +253,99 @@ def _golden_min(
     return x, f(x), evals
 
 
-def _compass_min(
-    f: Callable[[List[float]], float], x0: Sequence[float], step: float, min_step: float,
-    budget: int,
-) -> Tuple[np.ndarray, float, int]:
-    """Coordinate pattern search on Python floats; returns (argmin, value,
-    evals used)."""
-    x = [float(v) for v in x0]
-    fx, evals = f(x), 1
-    while step > min_step and evals < budget:
-        improved = False
-        for i in range(len(x)):
-            for s in (step, -step):
-                if evals >= budget:
-                    break
-                trial = x[:]
-                trial[i] += s
-                ft = f(trial)
-                evals += 1
-                if ft < fx:
-                    x, fx = trial, ft
-                    improved = True
-                    break
-        if not improved:
-            step *= 0.5
-    return np.array(x), fx, evals
+def _spd_solve3(A: Sequence[float], b: Sequence[float]) -> Optional[Tuple[float, float, float]]:
+    """x with A x = b for the symmetric 3x3 A packed as its lower triangle
+    (a00, a10, a11, a20, a21, a22), by Cholesky written out; None when A is
+    not positive definite."""
+    a00, a10, a11, a20, a21, a22 = A
+    if not a00 > 0.0:
+        return None
+    l00 = math.sqrt(a00)
+    l10, l20 = a10 / l00, a20 / l00
+    d1 = a11 - l10 * l10
+    if not d1 > 0.0:
+        return None
+    l11 = math.sqrt(d1)
+    l21 = (a21 - l20 * l10) / l11
+    d2 = a22 - l20 * l20 - l21 * l21
+    if not d2 > 0.0:
+        return None
+    l22 = math.sqrt(d2)
+    y0 = b[0] / l00
+    y1 = (b[1] - l10 * y0) / l11
+    x2 = (b[2] - l20 * y0 - l21 * y1) / l22 / l22
+    x1 = (y1 - l21 * x2) / l11
+    return (y0 - l10 * x1 - l20 * x2) / l00, x1, x2
+
+
+def _rotation_newton3(
+    F: Rows3, w0: Sequence[float], budget: int, noise: float
+) -> Tuple[Rows3, float, int, int]:
+    """Newton descent of ||Q^T F - id|| over Q = exp([w0]_x) exp([d_1]_x) ...;
+    returns (Q, misfit, evaluations, Newton steps).
+
+    With M = Q^T F the squared misfit of Q exp([d]_x) is ||M||^2 -
+    2 tr(exp(-[d]_x) M) + 3, whose gradient in d is -2a, a = (M21 - M12,
+    M02 - M20, M10 - M01), and whose Hessian is 2A, A = tr M id - sym M. A
+    step solves (A + tau id) d = a, with tau = 0 where A is positive definite
+    and growing from 1e-8 of its entries' sum until it is (Nocedal and Wright,
+    Numerical Optimization, 2nd ed., 3.4). Along a step s of length theta the
+    squared misfit changes by exactly -2 (sin theta / theta) a.s +
+    2 ((1 - cos theta) / theta^2) s^T A s, and s^T A s <= a.s, so a step
+    capped at length 2 lowers it by at least a fifth of the decrement a.s:
+    the Armijo backtracking on the misfit only guards against roundoff.
+    Where A is positive definite and |d| <= 1e-3 (the quadratic region) full
+    steps are taken untested, because the squared misfit phi cannot resolve
+    steps below about sqrt(eps phi / curvature), and a stop on the value
+    would leave the witness that far from the minimizer. The descent stops
+    when the decrement a.d reaches the roundoff `noise` of a along d, when
+    inside the quadratic region it no longer falls below a quarter of the
+    previous one, when no step of 2^-30 passes the Armijo test, or before
+    the evaluations, the start's included, would exceed budget. Every
+    evaluation builds one rotation with _rot3_rows.
+    """
+    Q = _rot3_rows(w0)
+    f, M = _misfit3(Q, F)
+    evals, steps, last = 1, 0, math.inf
+    while evals < budget:
+        (m00, m01, m02), (m10, m11, m12), (m20, m21, m22) = M
+        a = (m21 - m12, m02 - m20, m10 - m01)
+        t = m00 + m11 + m22
+        A = [t - m00, -0.5 * (m01 + m10), t - m11, -0.5 * (m02 + m20), -0.5 * (m12 + m21), t - m22]
+        tau = 0.0
+        while (d := _spd_solve3([A[0] + tau, A[1], A[2] + tau, A[3], A[4], A[5] + tau], a)) is None:
+            tau = max(2.0 * tau, 1e-8 * sum(map(abs, A)), -2.0 * min(A[0], A[2], A[5]))
+        length = math.sqrt(d[0] * d[0] + d[1] * d[1] + d[2] * d[2])
+        dec = a[0] * d[0] + a[1] * d[1] + a[2] * d[2]
+        if dec <= noise * length:
+            break
+        quadratic = tau == 0.0 and length <= 1e-3
+        if quadratic and dec > 0.25 * last:
+            break
+        last = dec if quadratic else math.inf
+        if length > 2.0:
+            d, dec = [2.0 / length * x for x in d], 2.0 / length * dec
+        alpha = 1.0
+        while True:
+            (p00, p01, p02), (p10, p11, p12), (p20, p21, p22) = Q
+            E = _rot3_rows([alpha * x for x in d])
+            (e00, e01, e02), (e10, e11, e12), (e20, e21, e22) = E
+            trial = ((p00 * e00 + p01 * e10 + p02 * e20, p00 * e01 + p01 * e11 + p02 * e21,
+                      p00 * e02 + p01 * e12 + p02 * e22),
+                     (p10 * e00 + p11 * e10 + p12 * e20, p10 * e01 + p11 * e11 + p12 * e21,
+                      p10 * e02 + p11 * e12 + p12 * e22),
+                     (p20 * e00 + p21 * e10 + p22 * e20, p20 * e01 + p21 * e11 + p22 * e21,
+                      p20 * e02 + p21 * e12 + p22 * e22))
+            f_trial, M_trial = _misfit3(trial, F)
+            evals += 1
+            if quadratic or f_trial * f_trial <= f * f - 2e-4 * alpha * dec:
+                break
+            if alpha < 2.0 ** -30 or evals >= budget:
+                return Q, f, evals, steps
+            alpha *= 0.5
+        Q, f, M = trial, f_trial, M_trial
+        steps += 1
+    return Q, f, evals, steps
 
 
 def _input(F: Mat, dims: Tuple[int, ...], search: str) -> np.ndarray:
@@ -296,11 +365,15 @@ def grioli_oracle(F: Mat, cfg: OracleConfig) -> OracleVerdict:
     """Minimize ||Q^T F - id|| over rotations by direct search.
 
     Planar inputs get a coarse angle scan refined by golden section; spatial
-    inputs get multi-start compass descent in axis-angle coordinates. The
-    verdict passes when the search never beats the polar closed form by more
-    than cfg.tol and the best rotation lands on the polar factor. Its stats
-    give the starts (one scan, or 20 descents, the best 3 refined), the
-    objective evaluations of the coarse and the fine stage, and the seconds.
+    inputs get safeguarded Newton descents on SO(3) (_rotation_newton3) from
+    20 low-discrepancy starts, each within cfg.max_iters evaluations, and
+    the search reads nothing but F. The verdict passes when the search never
+    beats the polar closed form by more than cfg.tol and the best rotation
+    lands on the polar factor. Planar stats give the starts (one scan), the
+    objective evaluations of the scan and of the golden section
+    (coarse_evaluations, fine_evaluations) and the seconds; spatial stats
+    give the starts, the accepted Newton steps and the objective
+    evaluations of all descents, and the seconds.
     """
     t_start = time.perf_counter()
     F = _input(F, (2, 3), "rotation search supports")
@@ -315,20 +388,17 @@ def grioli_oracle(F: Mat, cfg: OracleConfig) -> OracleVerdict:
         k = int(np.argmin([g(t) for t in grid]))
         h = 2.0 * math.pi / m
         theta, best, fine = _golden_min(g, grid[k] - h, grid[k] + h)
-        q_best, starts, coarse = _rot2(theta), 1, m
+        q_best = _rot2(theta)
+        stats = {"starts": 1, "coarse_evaluations": m, "fine_evaluations": fine}
     else:
-        g3 = _rotation_misfit3(F)
-        budget = max(cfg.max_iters // 40, 200)
-        runs = [_compass_min(g3, w0, 0.5, 5e-3, budget) for w0 in _kronecker_ball_starts(20)]
-        refined = [  # the best three coarse minima, stable in start order
-            _compass_min(g3, w, 2e-2, 1e-9, cfg.max_iters)
-            for w, _, _ in sorted(runs, key=lambda run: run[1])[:3]
-        ]
-        w_best, best, _ = min(refined, key=lambda run: run[1])
-        q_best, starts = np.array(_rot3_rows(w_best)), len(runs)
-        coarse, fine = (sum(run[2] for run in stage) for stage in (runs, refined))
-    stats = {"starts": starts, "coarse_evaluations": coarse, "fine_evaluations": fine,
-             "seconds": time.perf_counter() - t_start}
+        rows = F.tolist()
+        noise = 8.0 * 2.0 ** -52 * math.hypot(*F.ravel().tolist())  # roundoff of a = axial(Q^T F)
+        runs = [_rotation_newton3(rows, w0, cfg.max_iters, noise) for w0 in _kronecker_ball_starts(20)]
+        q_rows, best, _, _ = min(runs, key=lambda run: run[1])  # the first of equal minima
+        q_best = np.array(q_rows)
+        stats = {"starts": len(runs), "newton_steps": sum(run[3] for run in runs),
+                 "evaluations": sum(run[2] for run in runs)}
+    stats["seconds"] = time.perf_counter() - t_start
 
     matches = float(np.linalg.norm(q_best - report.minimizer)) <= 1e-4
     passed = best >= closed - cfg.tol and matches

@@ -245,6 +245,15 @@ class TestVerify:
         assert code == 0
         assert "[FAIL]" not in out
 
+    def test_grioli_spatial_pass(self, capsys):
+        # the identity, an SPD matrix and a flat draw, then the samples
+        code, out, _ = run_cli(
+            ["verify", "--suite", "grioli", "--dim", "3", "--samples", "10",
+             "--seed", "42", "--tol", "1e-6"], capsys
+        )
+        assert code == 0
+        assert "suite grioli: 13/13 claims passed" in out
+
     def test_rank_one_pass(self, capsys):
         code, out, _ = run_cli(
             ["verify", "--suite", "exp-hencky-rank-one", "--samples", "20",

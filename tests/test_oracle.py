@@ -16,7 +16,7 @@ from geolog.matcore import (
     split_orthogonal,
     weighted_norm,
 )
-from geolog.geodesy import dist_squared_to_SO
+from geolog.geodesy import DistanceReport, dist_squared_to_SO
 import geolog.oracle as oracle
 from geolog.oracle import (
     OracleConfig,
@@ -154,8 +154,47 @@ class TestGrioliOracle:
         with pytest.raises(ValueError):
             grioli_oracle(np.eye(4), self.CFG)
 
+    def test_hard_spatial_inputs(self):
+        # flat, widely spread and repeated stretches, a polar angle near pi,
+        # F next to a rotation and a conformal F, under seeded rotations
+        rng = substream(61, 0)
+        for _ in range(4):
+            Q, V = _random_rotations(rng, 3, 2)
+            axis = rng.standard_normal(3)
+            near_pi = np.array(oracle._rot3_rows((math.pi - 1e-9) / np.linalg.norm(axis) * axis))
+            nudge = rng.standard_normal((3, 3))
+            inputs = [Q @ V @ np.diag(s) @ V.T
+                      for s in ([1.0, 1e-4, 1e-4], [1e4, 1.0, 1e-4], [1.5, 1.5, 0.4])]
+            inputs += [near_pi @ V @ np.diag([1.3, 0.8, 1.1]) @ V.T,
+                       Q + 1e-6 / np.linalg.norm(nudge) * nudge, 3.0 * Q]
+            for F in inputs:
+                v = grioli_oracle(F, self.CFG)
+                assert v.passed, F.tolist()
+                closed = v.closed_form_value
+                assert abs(v.oracle_value - closed) <= 1e-12 * max(1.0, closed)
+                assert v.stats["evaluations"] <= 2000
+
+    @pytest.mark.parametrize("plant", ["distance", "minimizer"])
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_planted_wrong_closed_form_fails(self, monkeypatch, plant, n):
+        # a closed form 1e-3 above the true minimum, or one whose minimizer is
+        # turned by 0.02 rad, must not pass
+        true_report = oracle.euclid_dist_to_SO
+        turn = rot2(0.02) if n == 2 else np.array(oracle._rot3_rows([0.0, 0.02, 0.0]))
+
+        def planted(F):
+            r = true_report(F)
+            if plant == "distance":
+                return DistanceReport((r.distance + 1e-3) ** 2, r.minimizer, "closed_form")
+            return DistanceReport(r.squared_distance, r.minimizer @ turn, "closed_form")
+
+        monkeypatch.setattr(oracle, "euclid_dist_to_SO", planted)
+        rng = np.random.default_rng(79)
+        for _ in range(3):
+            assert not grioli_oracle(random_gl(rng, n), self.CFG).passed
+
     def test_stats_count_the_work(self, monkeypatch):
-        # every objective evaluation builds one rotation, and so does the witness
+        # every objective evaluation builds one rotation
         calls = []
         for name in ("_rot2_rows", "_rot3_rows"):
             build = getattr(oracle, name)
@@ -165,12 +204,13 @@ class TestGrioliOracle:
             calls.clear()
             v = grioli_oracle(F, cfg)
             s = v.stats
-            assert s["coarse_evaluations"] + s["fine_evaluations"] + 1 == len(calls)
-            if F.shape[0] == 2:
+            if F.shape[0] == 2:  # the witness builds one more
+                assert s["coarse_evaluations"] + s["fine_evaluations"] + 1 == len(calls)
                 assert s["starts"] == 1 and s["coarse_evaluations"] == 40
-            else:  # a coarse descent may use 200 evaluations, a refined one max_iters
-                assert s["starts"] == 20 and s["coarse_evaluations"] <= 20 * 200
-                assert 3 <= s["fine_evaluations"] <= 3 * 50
+            else:  # a start evaluates itself, then at most max_iters - 1 trial rotations
+                assert s["evaluations"] == len(calls)
+                assert s["starts"] == 20 and 20 <= s["evaluations"] <= 20 * 50
+                assert s["newton_steps"] <= s["evaluations"] - s["starts"]
             assert s["seconds"] > 0.0
             tag = "PASS" if v.passed else "FAIL"
             assert str(v) == (
@@ -200,7 +240,8 @@ def test_scalar_misfit_matches_the_matrix_form(radius):
              "near-pi": math.pi - rng.uniform(0.0, 1e-6)}[radius]
         w *= r / np.linalg.norm(w)
         expect = matrix_misfit3(w, F)
-        assert oracle._rotation_misfit3(F)(w) == pytest.approx(expect, rel=1e-15, abs=0.0)
+        value, _ = oracle._misfit3(oracle._rot3_rows(w), F.tolist())
+        assert value == pytest.approx(expect, rel=1e-15, abs=0.0)
 
 
 @pytest.mark.parametrize("near", ["random", "rotation"])
