@@ -19,15 +19,16 @@ their arithmetic. The path kernels hold node stacks entry-major, shape
 on vectors of N x 16 entries: a product is one broadcast multiply and a sum
 over a length-n axis, a 2x2 inverse the adjugate. The planar objective
 writes its nodes, X0_k (id + xi_k) and the start rotation, out by entries
-in that layout, and pulls the gradient back the same way. A stack axis takes
-x and a Newton step's 12 Hessian probes in one call, on an 8-point rule
-where the energy and the reported length take 16 points (_path_hessian
-says why 8 suffice). The log sampling takes its principal logs the same
-way, entry-major over the samples, from closed-form eigenvalues, and
-logmin_oracle and weighted_logmin_oracle on one F and config share one
-sampling. The rotation searches evaluate their misfits in Python floats,
-and the spatial one takes its Newton steps from the same 3x3 product
-Q^T F that gives the misfit.
+in that layout, and pulls the gradient back the same way. The chord pass
+that gives the energy and its gradient also gives the exact Hessian, from
+small Gram products of its stacks summed over the rule by stacked matmuls
+(_chord_hessians), so a Newton step costs one pass per trial. The log
+sampling takes its principal logs the same way, entry-major over the
+samples, from closed-form eigenvalues, and logmin_oracle and
+weighted_logmin_oracle on one F and config share one sampling. The
+rotation searches evaluate their misfits in Python floats, and the spatial
+one takes its Newton steps from the same 3x3 product Q^T F that gives the
+misfit.
 """
 
 from __future__ import annotations
@@ -73,8 +74,8 @@ class OracleConfig:
 
     nodes counts path segments for the discrete geodesic search. max_iters
     bounds objective evaluations: per Newton-descent start of the spatial
-    rotation search, and per path search, where Hessian columns count as
-    gradient evaluations.
+    rotation search, and per path search, where one evaluation is one pass
+    over the chords (value, gradient and Hessian).
     """
 
     seed: int = 0
@@ -420,7 +421,6 @@ def _gauss_legendre(m: int) -> Tuple[np.ndarray, np.ndarray]:
 
 
 _GL16 = _gauss_legendre(16)
-_GL8 = _gauss_legendre(8)  # the Hessian probes' rule; see _path_hessian
 
 
 def _in_gl_plus(E: np.ndarray) -> bool:
@@ -474,81 +474,79 @@ def _polyline_length(E: np.ndarray, p: MetricParams) -> float:
     return float(np.sum(_stacked_weighted_norms(_chords(E, t)[1], p) @ w))
 
 
-def _path_energy(
-    E: np.ndarray, p: MetricParams, rule: Tuple[np.ndarray, np.ndarray] = _GL16
-) -> Tuple[np.ndarray, np.ndarray]:
+def _path_energy(E: np.ndarray, p: MetricParams, hessian: bool = False) -> tuple:
     """Discrete path energy of an entry-major node stack E (n, n, ..., N+1)
     in GL+, and its gradient, of the same shape, for every stack along the
-    axes between.
+    axes between. With hessian (and no stack axes), also a function that
+    gives every chord's Hessian block from the same pass (_chord_hessians).
 
     E = N sum_chords sum_q w_q ||Z_q||_p^2, with Z_q = M_q^-1 D and
-    M_q = A + t_q D for the chord A -> A + D, on the quadrature rule (t, w),
-    by default that of _polyline_length. Its minimizers move at constant
-    speed (discrete geodesics), and the polyline's length is at most
-    sqrt(E) (Cauchy-Schwarz). With G = 2 N w_q _metric_map(Z_q) and
-    H = M_q^-T G, the chord adds sum_q (H - t_q H Z_q^T) to the gradient at
-    its end node and sum_q (-H - (1 - t_q) H Z_q^T) at its start node.
+    M_q = A + t_q D for the chord A -> A + D, on the 16-point rule of
+    _polyline_length. Its minimizers move at constant speed (discrete
+    geodesics), and the polyline's length is at most sqrt(E)
+    (Cauchy-Schwarz). With G = 2 N w_q _metric_map(Z_q) and H = M_q^-T G,
+    the chord adds sum_q (H - t_q H Z_q^T) to the gradient at its end node
+    and sum_q (-H - (1 - t_q) H Z_q^T) at its start node.
     """
-    t, w = rule
+    t, w = _GL16
     M_inv, Z = _chords(E, t)
-    G = (2.0 * (E.shape[-1] - 1)) * w * _metric_map(Z, p)
+    c = (2.0 * (E.shape[-1] - 1)) * w
+    G = c * _metric_map(Z, p)
     H = _entry_matmul(M_inv.swapaxes(0, 1), G)
     HZt = _entry_matmul(H, Z.swapaxes(0, 1))
     at_end = (H - t * HZt).sum(axis=-1)
     grad = np.zeros(E.shape)
     grad[..., 1:] = at_end
     grad[..., :-1] -= at_end + HZt.sum(axis=-1)
-    return 0.5 * (Z * G).sum(axis=(0, 1, -2, -1)), grad
+    value = 0.5 * (Z * G).sum(axis=(0, 1, -2, -1))
+    if not hessian:
+        return value, grad
+    return value, grad, lambda: _chord_hessians(c, M_inv, Z, H, p)
 
 
-def _path_hessian(
-    x: np.ndarray, energy: Callable
-) -> Tuple[np.ndarray, np.ndarray, Optional[Tuple[float, np.ndarray]]]:
-    """Hessian of the path energy at x (variables as in _path_objective):
-    the diagonal blocks of the interior nodes, a stack (N-1, 4, 4), the
-    blocks below them, (N-2, 4, 4), and, with the angle free, its diagonal
-    entry and its 4-vector coupling to interior node 1 (else None).
+def _chord_hessians(
+    c: np.ndarray, M_inv: np.ndarray, Z: np.ndarray, H: np.ndarray, p: MetricParams
+) -> np.ndarray:
+    """Hessian blocks of the path energy's chords, a stack (N, 2 n^2, 2 n^2)
+    whose rows and columns run over the entries (i, j) of the start node,
+    then of the end node, from _path_energy's chord pass on one node stack:
+    M_inv and Z (n, n, N, 16), H = M^-T G and the weights c = 2 N w_q.
 
-    A chord couples only its two end nodes, and the free start angle only
-    interior node 1. So with interior node k in colour k mod 3 and the angle
-    in colour 0, 12 forward gradient differences give every nonzero entry
-    (Curtis, Powell and Reid, IMA J. Appl. Math. 1974), symmetrized. x and
-    its 12 probes go through one stacked energy call, and every difference
-    is taken against the row for x of that call: against the gradient of
-    another rule, the gap between the two rules, divided by the step, would
-    swamp the difference.
-
-    That call takes the 8-point rule _GL8, not the 16-point rule of the
-    energy itself. A chord's integrand is rational in t, with poles at the
-    zeros t = -1/lambda of det(A + tD), lambda the eigenvalues of A^-1 D,
-    and an m-point Gauss rule errs by about rho^(-2m), rho > 1 the largest
-    Bernstein ellipse about [0, 1] that no pole enters (Trefethen, SIAM
-    Rev. 2008). For |lambda| <= 1/2 every pole has |t| >= 2, so
-    rho >= 3 + 2 sqrt 2 and 8 points err by about 6e-13 of the entry, far
-    below the 1e-7 of the forward difference. A longer chord, or one with
-    lambda near -1, only makes the step less exact: the energy, gradient,
-    Armijo test and stop rule that judge it take 16 points.
+    A move dA of the start node changes Z = M^-1 D by M^-1 dA S_A, with
+    S_A = -(id + (1 - t) Z), and a move dB of the end node by M^-1 dB S_B,
+    with S_B = id - t Z; so a unit move of entry (i, j) changes it by the
+    outer product of column i of M^-1 and row j of S. With the metric map
+    a X + b X^T + g tr X id (_metric_map), the Gauss-Newton part
+    c <dZ_u, map(dZ_v)> of entries u = (i, j), v = (k, l) reads
+    c [a P_ik (S S^T)_jl + b (S M^-1)_li (S M^-1)_jk + g (S M^-1)_ji (S M^-1)_lk],
+    P = M^-T M^-1. The second derivative dZ_uv = -M^-1 (dM_u dZ_v + dM_v dZ_u)
+    adds -r_u M^-1_jk (H S^T)_il and its transpose, r_u = 1 - t or t the
+    weight of entry u's node in M. Each sum over the rule is one stacked matmul
+    (N, ., 16) @ (N, 16, .).
     """
-    free, n_int = x.size % 4, x.size // 4
-    h = (x + 1e-7 * np.maximum(1.0, np.abs(x))) - x
-    group = 4 * (np.arange(1, n_int + 1) % 3)[:, np.newaxis] + np.arange(4)  # [node, entry]
-    probes = np.zeros((13, x.size))  # row 0 is x itself
-    probes[1 + np.concatenate([np.zeros(free, dtype=int), group.ravel()]), np.arange(x.size)] = h
-    grads = energy(x + probes, _GL8)[1]
-    dg = grads[1:] - grads[0]
-    dn, hn = dg[:, free:].reshape(12, n_int, 4), h[free:].reshape(n_int, 4)
+    n, _, N, Q = Z.shape
+    t = _GL16[0]
+    eye = np.eye(n)[:, :, np.newaxis, np.newaxis]
+    S = np.concatenate([-(eye + (1.0 - t) * Z), eye - t * Z])  # rows (node, j)
+    a, b = 0.5 * (p.mu + p.mu_c), 0.5 * (p.mu - p.mu_c)
+    g = 0.5 * p.kappa - p.mu / n
 
-    def block(rows: np.ndarray, cols: np.ndarray) -> np.ndarray:  # at (rows[a], cols[a])
-        return (dn[group[cols], rows[:, np.newaxis]] / hn[cols][..., np.newaxis]).swapaxes(-1, -2)
+    def summed(L: np.ndarray, R: np.ndarray) -> np.ndarray:  # sum_q L[u, q] R[v, q], per chord
+        return L.reshape(-1, N, Q).transpose(1, 0, 2) @ R.reshape(-1, N, Q).transpose(1, 2, 0)
 
-    a = np.arange(n_int)
-    on_diag = block(a, a)
-    diag = 0.5 * (on_diag + on_diag.swapaxes(-1, -2))
-    sub = 0.5 * (block(a[1:], a[:-1]) + block(a[:-1], a[1:]).swapaxes(-1, -2))
-    angle = None
-    if free:
-        angle = dg[0, 0] / h[0], 0.5 * (dn[0, 0] / h[0] + dg[group[0], 0] / hn[0])
-    return diag, sub, angle
+    P = _entry_matmul(M_inv.swapaxes(0, 1), M_inv)
+    SSt = _entry_matmul(S, S.swapaxes(0, 1))
+    SM = _entry_matmul(S, M_inv)  # [(node, j), k]
+    HSt = _entry_matmul(H, S.swapaxes(0, 1))  # [i, (node, l)]
+    C = np.concatenate([(1.0 - t) * M_inv, t * M_inv])  # [(node, j), k]
+    # axes after the chord: (node, i, j) of u, then (node, k, l) of v
+    K = (a * summed(c * P, SSt)).reshape(N, n, n, 2, n, 2, n).transpose(0, 3, 1, 4, 5, 2, 6)
+    SM2 = summed(c * SM, SM).reshape(N, 2, n, n, 2, n, n)  # [(node, j, k), (node, l, i)]
+    K = K + b * SM2.transpose(0, 1, 6, 2, 4, 3, 5) + g * SM2.transpose(0, 1, 3, 2, 4, 6, 5)
+    HSt = HSt.reshape(n, 2, n, N, Q).transpose(1, 0, 2, 3, 4)  # [(node, i, l)]
+    X = summed(C, HSt).reshape(N, 2, n, n, 2, n, n).transpose(0, 1, 5, 2, 4, 3, 6)
+    K = (K - X).reshape(N, 2 * n * n, 2 * n * n)
+    return K - X.reshape(K.shape).swapaxes(1, 2)
 
 
 def _block_solve(
@@ -602,6 +600,24 @@ def _block_solve(
     return np.concatenate([[d0], y - d0 * z])
 
 
+def _least_eigenvector(
+    diag: np.ndarray, sub: np.ndarray, angle: Optional[Tuple[float, np.ndarray]], tau: float
+) -> Tuple[np.ndarray, float]:
+    """A unit vector near the eigenvector of the least eigenvalue of the
+    symmetric A of Hessian stacks (diag, sub, angle), and the curvature
+    1 / (v^T (A + tau id)^-1 v) - tau of the last iterate v, from four
+    steps of inverse iteration with the positive definite A + tau id
+    (_block_solve). The curvature is at most v^T A v, and equal to the
+    eigenvalue once v has converged. The start is a fixed Philox draw, so
+    the result is a function of A and tau."""
+    v = substream(0, 0).standard_normal(4 * len(diag) + int(angle is not None))
+    v /= np.linalg.norm(v)
+    for _ in range(4):
+        y = _block_solve(diag, sub, angle, tau, v)
+        v, q = y / np.linalg.norm(y), float(v @ y)
+    return v, 1.0 / q - tau
+
+
 def _newton(
     x: np.ndarray, nodes_of: Callable, energy: Callable, max_evals: int, stats: dict
 ) -> Iterator[Tuple[np.ndarray, float]]:
@@ -609,26 +625,33 @@ def _newton(
     _path_objective, from a start whose polyline lies in GL+.
 
     Yields every accepted iterate (x, value), the start first. A step solves
-    with the _path_hessian, shifted by tau id where that is not positive
+    with the exact Hessian (energy(x, hessian=True), from the chord pass of
+    the accepted iterate), shifted by tau id where that is not positive
     definite (Nocedal and Wright, Numerical Optimization, 2nd ed., 3.4 and
     8.1). From the unit step, a trial that leaves GL+ halves the step
     without an evaluation, and one that misses the Armijo decrease halves
-    it after one. Stops "converged" when the Newton decrement reaches
-    roundoff relative to the value, when an accepted step does not lower
-    it, or when no step of 2^-40 is acceptable, and "evaluations" before
-    the gradient evaluations, Hessian columns included, would exceed
-    max_evals. Counters and the stop reason go into stats.
+    it after one.
+
+    When the Newton decrement reaches roundoff relative to the value after
+    a shifted solve, x may be a saddle, where the shifted step is as small
+    as the gradient. Then the least eigenvector v (_least_eigenvector) is
+    tried if its curvature k is negative: the same backtracking along
+    -+v, from unit length, accepts a trial below
+    f + 1e-4 (alpha g.v + alpha^2 k / 2) that lowers f by more than its
+    roundoff, and Newton goes on from there; such a step counts as a Newton
+    step and as one of the escapes. Stops "converged" when the decrement
+    reaches roundoff and no escape is taken, when an accepted step does
+    not lower the value, or when no step of 2^-40 is acceptable, and
+    "evaluations" before the evaluations (passes over the chords, each
+    giving value, gradient and Hessian) would exceed max_evals. Counters
+    and the stop reason go into stats.
     """
-    f, g = energy(x)
-    stats.update(newton_steps=0, evaluations=1, shifts=0, backtracks=0, gl_halvings=0)
+    f, g, hessian = energy(x, True)
+    stats.update(newton_steps=0, evaluations=1, shifts=0, backtracks=0, gl_halvings=0, escapes=0)
     yield x, f
     tau = floor = 0.0
     while True:
-        if stats["evaluations"] + 12 > max_evals:
-            stats["stop"] = "evaluations"
-            return
-        diag, sub, angle = _path_hessian(x, energy)
-        stats["evaluations"] += 12
+        diag, sub, angle = hessian()
         # carry a quarter of tau over until it reaches the floor; searching
         # afresh on each step costs more failed factorizations
         tau = 0.25 * tau if tau > floor else 0.0
@@ -643,30 +666,41 @@ def _newton(
                 top = np.max(np.abs(np.diagonal(diag, axis1=1, axis2=2)))
                 floor = 1e-8 * float(max(top, abs(angle[0]) if angle else 0.0))
                 tau = max(2.0 * tau, floor)
-        slope, alpha = float(g @ d), 1.0
+        slope, alpha, curvature = float(g @ d), 1.0, 0.0
         # roundoff of E, a sum of 16N positive terms, is about 16N ulps
-        if -0.5 * slope <= 16 * (x.size // 4 + 1) * 2.0 ** -52 * f:
-            stats["stop"] = "converged"
-            return
+        roundoff = 16 * (x.size // 4 + 1) * 2.0 ** -52 * f
+        if -0.5 * slope <= roundoff:
+            if tau > 0.0:  # A is indefinite or nearly so: x may be a saddle
+                d, curvature = _least_eigenvector(diag, sub, angle, tau)
+            if not curvature < 0.0:
+                stats["stop"] = "converged"
+                return
+            d = -d if g @ d > 0.0 else d
+            slope = float(g @ d)
         while True:
-            if alpha < 2.0 ** -40 or stats["evaluations"] >= max_evals:
-                stats["stop"] = "evaluations" if alpha >= 2.0 ** -40 else "converged"
+            model = alpha * slope + 0.5 * alpha * alpha * curvature
+            if alpha < 2.0 ** -40 or (curvature < 0.0 and -model <= roundoff):
+                stats["stop"] = "converged"
+                return
+            if stats["evaluations"] >= max_evals:
+                stats["stop"] = "evaluations"
                 return
             trial = x + alpha * d
             if not _in_gl_plus(nodes_of(trial)):
                 stats["gl_halvings"] += 1
             else:
                 stats["evaluations"] += 1
-                f_trial, g_trial = energy(trial)
-                if f_trial <= f + 1e-4 * alpha * slope:
+                f_trial, g_trial, h_trial = energy(trial, True)
+                if f_trial <= f + 1e-4 * model and (curvature == 0.0 or f - f_trial > roundoff):
                     break
                 stats["backtracks"] += 1
             alpha *= 0.5
         if not f_trial < f:
             stats["stop"] = "converged"
             return
-        x, f, g = trial, f_trial, g_trial
+        x, f, g, hessian = trial, f_trial, g_trial, h_trial
         stats["newton_steps"] += 1
+        stats["escapes"] += int(curvature < 0.0)
         yield x, f
 
 
@@ -706,44 +740,59 @@ def _path_objective(
     metric does at the start; in raw entries a node with a small singular
     value s weighs about 1/s^2 more, which stalled an earlier quasi-Newton
     descent 2% above the distance. Returns x0, nodes_of (x -> entry-major
-    node stack (2, 2, ..., N+1)) and energy ((x, rule) -> _path_energy and
-    its gradient in x); both map every vector along leading stack axes of
-    x, entry by entry, and energy assumes the polyline lies in GL+.
+    node stack (2, 2, N+1)) and energy (x -> _path_energy and its gradient
+    in x, written out entry by entry), which assumes the polyline lies in
+    GL+. energy(x, hessian=True) adds a function giving the Hessian in x
+    from the same chord pass: the diagonal blocks of the interior nodes, a
+    stack (N-1, 4, 4), the blocks below them, (N-2, 4, 4), and, with the
+    angle free, its diagonal entry and its 4-vector coupling to interior
+    node 1 (else None). As X_k = X0_k (id + xi_k) is linear in xi_k, a node
+    block maps by J_k = kron(X0_k, id); the angle's entry is
+    d^T D_0 d - <G_0, rot(theta)>, d = d rot(theta) / d theta, with D_0 and
+    G_0 the Hessian block and gradient of node 0.
     """
     n_seg = X0.shape[0] - 1
     free = int(theta0 is not None)
     E0 = np.moveaxis(X0, 0, -1)
     inner = E0[..., 1:n_seg]  # the entries of X0_k, k = 1 .. N-1
+    J = np.einsum("pik,jl->kpjil", inner, np.eye(2)).reshape(n_seg - 1, 4, 4)
 
     def nodes_of(x: np.ndarray) -> np.ndarray:
-        E = np.empty((2, 2) + x.shape[:-1] + (n_seg + 1,))
-        fixed = (2, 2) + (1,) * (x.ndim - 1)  # a node broadcast along the stack axes
-        E[..., n_seg] = E0[..., n_seg].reshape(fixed)
+        E = E0.copy()
         if free:
-            c, s = np.cos(x[..., 0]), np.sin(x[..., 0])
-            E[0, 0, ..., 0], E[0, 1, ..., 0], E[1, 0, ..., 0], E[1, 1, ..., 0] = c, -s, s, c
-        else:
-            E[..., 0] = E0[..., 0].reshape(fixed)
-        xi = x[..., free:]  # entry (i, j) of every xi_k is xi[..., 2 i + j::4]
+            c, s = np.cos(x[0]), np.sin(x[0])
+            E[..., 0] = ((c, -s), (s, c))
+        xi = x[free:]  # entry (i, j) of every xi_k is xi[2 i + j::4]
         for i in range(2):
             for j in range(2):
-                prod = inner[i, 0] * xi[..., j::4] + inner[i, 1] * xi[..., 2 + j::4]
-                E[i, j, ..., 1:n_seg] = inner[i, j] + prod
+                prod = inner[i, 0] * xi[j::4] + inner[i, 1] * xi[2 + j::4]
+                E[i, j, 1:n_seg] = inner[i, j] + prod
         return E
 
-    def energy(
-        x: np.ndarray, rule: Tuple[np.ndarray, np.ndarray] = _GL16
-    ) -> Tuple[np.ndarray, np.ndarray]:
-        value, G = _path_energy(nodes_of(x), p, rule)
+    def energy(x: np.ndarray, hessian: bool = False) -> tuple:
+        value, G, *chord_hessians = _path_energy(nodes_of(x), p, hessian)
         Gi, G0 = G[..., 1:n_seg], G[..., 0]
         g = np.empty(x.shape)
         for i in range(2):  # X0_k^T G_k
             for j in range(2):
-                g[..., free + 2 * i + j::4] = inner[0, i] * Gi[0, j] + inner[1, i] * Gi[1, j]
+                g[free + 2 * i + j::4] = inner[0, i] * Gi[0, j] + inner[1, i] * Gi[1, j]
         if free:  # d rot2(theta) / d theta = [[-sin, -cos], [cos, -sin]]
-            c, s = np.cos(x[..., 0]), np.sin(x[..., 0])
-            g[..., 0] = c * (G0[1, 0] - G0[0, 1]) - s * (G0[0, 0] + G0[1, 1])
-        return value, g
+            c, s = np.cos(x[0]), np.sin(x[0])
+            g[0] = c * (G0[1, 0] - G0[0, 1]) - s * (G0[0, 0] + G0[1, 1])
+        if not hessian:
+            return value, g
+
+        def in_x() -> Tuple[np.ndarray, np.ndarray, Optional[Tuple[float, np.ndarray]]]:
+            K = chord_hessians[0]().reshape(n_seg, 2, 4, 2, 4)  # [chord, start/end node, entry]
+            diag = J.swapaxes(1, 2) @ (K[:-1, 1, :, 1] + K[1:, 0, :, 0]) @ J
+            sub = J[1:].swapaxes(1, 2) @ K[1:-1, 1, :, 0] @ J[:-1]
+            if not free:
+                return diag, sub, None
+            d = np.array([-s, -c, c, -s])
+            bend = c * (G0[0, 0] + G0[1, 1]) + s * (G0[1, 0] - G0[0, 1])  # <G_0, rot(theta)>
+            return diag, sub, (float(d @ K[0, 0, :, 0] @ d - bend), d @ K[0, 0, :, 1] @ J[0])
+
+        return value, g, in_x
 
     return np.concatenate([[theta0] if free else [], np.zeros(4 * (n_seg - 1))]), nodes_of, energy
 
@@ -752,16 +801,16 @@ def _run_path_search(
     F: np.ndarray, p: MetricParams, cfg: OracleConfig, pinned_theta: Optional[float]
 ) -> Tuple[float, dict]:
     """_newton descent of the discrete path energy over the interior nodes
-    and, unless pinned, the start angle, under cfg.max_iters gradient
-    evaluations.
+    and, unless pinned, the start angle, under cfg.max_iters evaluations.
 
     The one start is the straight interpolation from the rotation at theta
     (the polar angle when free) to F, or, when that comes too close to
     det = 0, the two-phase polyline, whose chords stay in GL+ (turns
-    shorter than pi, then stretches between SPD factors). No randomness.
-    Returns the _polyline_length of the final polyline and the stats:
-    newton_steps, evaluations, shifts, backtracks, gl_halvings, start,
-    nodes, theta, stop and seconds.
+    shorter than pi, then stretches between SPD factors). No randomness
+    beyond the one fixed draw of _least_eigenvector. Returns the
+    _polyline_length of the final polyline and the stats: newton_steps,
+    evaluations, shifts, backtracks, gl_halvings, escapes, start, nodes,
+    theta, stop and seconds.
     """
     t_start = time.perf_counter()
     pol = polar_decompose(F)

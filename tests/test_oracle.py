@@ -28,11 +28,11 @@ from geolog.oracle import (
     weighted_logmin_oracle,
     _block_solve,
     _interp_nodes,
+    _least_eigenvector,
     _in_gl_plus,
     _newton,
     _path_activity,
     _path_energy,
-    _path_hessian,
     _path_objective,
     _polyline_length,
     _principal_logs,
@@ -478,8 +478,8 @@ def assemble_lists(diag, sub):
 
 
 def assemble(diag, sub, angle=None):
-    """The dense symmetric matrix of the Hessian stacks of _path_hessian,
-    the angle's row and column first."""
+    """The dense symmetric matrix of the Hessian stacks (diag, sub, angle)
+    of the path objective, the angle's row and column first."""
     A = assemble_lists(diag, sub)
     if angle is not None:
         A = np.pad(A, ((1, 0), (1, 0)))
@@ -500,21 +500,26 @@ def spd_block_system(rng, blocks, free):
 
 
 class TestNewtonKernels:
+    # the name is that of the coloured-difference Hessian this test first
+    # checked; it now checks the exact Hessian of the same chord pass
     @pytest.mark.parametrize("p", TRIPLES, ids=["frobenius", "mu2", "muc3"])
     @pytest.mark.parametrize("pinned", [False, True], ids=["free", "pinned"])
-    @pytest.mark.parametrize("n_seg", [3, 6, 12])  # 3: long chords, where the probes' rule errs most
+    @pytest.mark.parametrize("n_seg", [3, 6, 12])  # 3: long chords
     def test_coloured_hessian_matches_central_differences(self, p, pinned, n_seg):
         theta0 = 0.2
         x0, nodes_of, energy = _path_objective(_interp_nodes(F_PATH, theta0, n_seg),
                                                None if pinned else theta0, p)
         x = x0 + 0.05 * np.random.default_rng(79).standard_normal(x0.size)
         assert _in_gl_plus(nodes_of(x))
-        diag, sub, angle = _path_hessian(x, energy)
+        value, g, hessian = energy(x, hessian=True)
+        assert (value, g.tolist()) == (energy(x)[0], energy(x)[1].tolist())
+        diag, sub, angle = hessian()
         assert diag.shape == (n_seg - 1, 4, 4) and sub.shape == (n_seg - 2, 4, 4)
         assert (angle is None) == pinned
         dense = central_differences(lambda y: energy(y)[1], x, h=1e-5)
-        coloured = assemble(diag, sub, angle)
-        assert np.max(np.abs(coloured - dense)) <= 1e-6 * np.max(np.abs(dense))
+        exact = assemble(diag, sub, angle)
+        assert np.max(np.abs(exact - dense)) <= 1e-6 * np.max(np.abs(dense))
+        assert np.allclose(exact, exact.T, rtol=0.0, atol=1e-12 * np.max(np.abs(exact)))
         # entry for entry the layout of lists of blocks with the angle's row
         # and column in a 5x5 first block and a 4x5 first block below it
         blocks, below = list(diag), list(sub)
@@ -522,7 +527,43 @@ class TestNewtonKernels:
             a, b = angle
             blocks[0] = np.block([[np.array([[a]]), b[np.newaxis]], [b[:, np.newaxis], diag[0]]])
             below[0] = np.pad(sub[0], ((0, 0), (1, 0)))
-        assert np.array_equal(coloured, assemble_lists(blocks, below))
+        assert np.array_equal(exact, assemble_lists(blocks, below))
+
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_chord_hessians_match_central_differences(self, n):
+        # the chord blocks are n-agnostic; the node Hessian sums each
+        # chord's 2n^2 x 2n^2 block over its start and end nodes
+        rng = np.random.default_rng(101 + n)
+        X = np.eye(n) + 0.1 * np.arange(7)[:, None, None] * rng.standard_normal((7, n, n)) / 7
+        E = entry_major(X)
+        value, grad, chord_hessians = _path_energy(E, TRIPLES[2], hessian=True)
+        K = chord_hessians()
+        m = n * n
+        assert K.shape == (6, 2 * m, 2 * m)
+        dense = np.zeros((7 * m, 7 * m))  # node-major variables (node, i, j)
+        for k, block in enumerate(K):
+            dense[k * m:(k + 2) * m, k * m:(k + 2) * m] += block
+
+        def node_major_gradient(y):
+            grad = _path_energy(entry_major(y.reshape(X.shape)), TRIPLES[2])[1]
+            return np.moveaxis(grad, -1, 0).ravel()
+
+        numeric = central_differences(node_major_gradient, X.ravel(), h=1e-5)
+        assert np.max(np.abs(dense - numeric)) <= 1e-6 * np.max(np.abs(numeric))
+
+    @pytest.mark.parametrize("free", [0, 1], ids=["pinned", "free"])
+    def test_least_eigenvector_of_an_indefinite_system(self, free):
+        rng = np.random.default_rng(103 + free)
+        diag, sub, angle = spd_block_system(rng, 6, free)
+        A = assemble(diag, sub, angle)
+        shift = np.linalg.eigvalsh(A)[0] + 1e-3  # one eigenvalue of A - shift id is -1e-3
+        diag -= shift * np.eye(4)
+        if free:
+            angle = (angle[0] - shift, angle[1])
+        lam, V = np.linalg.eigh(assemble(diag, sub, angle))
+        vec, curvature = _least_eigenvector(diag, sub, angle, 2e-3)
+        assert abs(abs(vec @ V[:, 0]) - 1.0) <= 1e-9
+        assert curvature == pytest.approx(lam[0], rel=1e-6)
 
     @pytest.mark.parametrize("free", [0, 1], ids=["pinned", "free"])
     @pytest.mark.parametrize("blocks", [1, 2, 3, 4, 7, 8, 33])
@@ -621,10 +662,20 @@ class TestPathEnergySearch:
         # other, so the energy has a nearly flat valley that the shifted
         # Newton steps must cross within the budget
         F = np.eye(2) + 1e-6 * np.array([[-0.5, -2.1], [-2.3, 0.5]])
-        cfg = OracleConfig(nodes=12, max_iters=20000)
+        cfg = OracleConfig(nodes=12, max_iters=1540)
         value, stats = _run_path_search(F, TRIPLES[2], cfg, pinned_theta=2.0)
         assert stats["stop"] == "converged"
         assert value > math.sqrt(dist_squared_to_SO(F, TRIPLES[2]).squared_distance) + 1.0
+
+    def test_pinned_search_escapes_a_saddle(self):
+        # on this input the exact Newton steps reach a saddle of the path
+        # energy (least Hessian eigenvalue -2.4e-6, |g| = 1.2e-8) whose
+        # polyline is 9.3e-7 (relative) longer than the minimum's
+        F = np.eye(2) + 1e-6 * np.array([[-0.5, -2.1], [-2.3, 0.5]])
+        cfg = OracleConfig(nodes=9, max_iters=200000)
+        value, stats = _run_path_search(F, MetricParams(1.0, 2.4, 3.0), cfg, pinned_theta=2.0)
+        assert stats["stop"] == "converged" and stats["escapes"] >= 1
+        assert value <= 4.2747245641407625 * (1.0 + 1e-12)
 
     @pytest.mark.parametrize("pinned", [None, 0.0, 2.5])
     def test_identical_calls_are_bit_identical(self, pinned):
@@ -637,14 +688,16 @@ class TestPathEnergySearch:
         }
 
     def test_verdict_stats_bound_the_work(self):
-        for max_iters, stop in ((200000, "converged"), (40, "evaluations")):
+        for max_iters, stop in ((200000, "converged"), (3, "evaluations")):
             cfg = OracleConfig(nodes=24, max_iters=max_iters)
             v = geodesic_distance_oracle(F_PATH, TRIPLES[1], cfg)
             s = v.stats
             assert set(s) == {"newton_steps", "evaluations", "shifts", "backtracks",
-                              "gl_halvings", "start", "nodes", "theta", "stop", "seconds"}
-            # every step costs a 12-column Hessian and at least one trial
-            assert 1 + 13 * s["newton_steps"] <= s["evaluations"] <= max_iters
+                              "gl_halvings", "escapes", "start", "nodes", "theta", "stop",
+                              "seconds"}
+            # every step costs at least one trial, whose chord pass also
+            # gives the next step's Hessian
+            assert 1 + s["newton_steps"] <= s["evaluations"] <= max_iters
             assert s["stop"] == stop and s["start"] == "interp" and s["nodes"] == 24
             assert s["seconds"] > 0.0
             assert np.array_equal(v.witness, rot2(s["theta"]))
