@@ -22,13 +22,19 @@ writes its nodes, X0_k (id + xi_k) and the start rotation, out by entries
 in that layout, and pulls the gradient back the same way. The chord pass
 that gives the energy and its gradient also gives the exact Hessian, from
 small Gram products of its stacks summed over the rule by stacked matmuls
-(_chord_hessians), so a Newton step costs one pass per trial. The log
-sampling takes its principal logs the same way, entry-major over the
-samples, from closed-form eigenvalues, and logmin_oracle and
-weighted_logmin_oracle on one F and config share one sampling. The
-rotation searches evaluate their misfits in Python floats, and the spatial
-one takes its Newton steps from the same 3x3 product Q^T F that gives the
-misfit.
+(_chord_hessians), so a Newton step costs one pass per trial, and the
+last accepted pass also gives the final polyline's length.
+
+The log sampling takes its principal logs the same way, entry-major over
+the samples, from closed-form eigenvalues, on contiguous rows. The
+rotation draws are kept entry-major and remembered per seed, dimension and
+count, so checks of several F under one config draw them once, and
+logmin_oracle and weighted_logmin_oracle on one F and config share one
+sampling. The rotation searches evaluate their misfits in Python floats,
+and the spatial one takes its Newton steps from the same 3x3 product
+Q^T F that gives the misfit. Its descents run from up to 20 fixed starts
+and stop once three of them end on the best rotation; for det F > 0 the
+first three did so on every acceptance draw checked.
 """
 
 from __future__ import annotations
@@ -37,7 +43,7 @@ import math
 import time
 from dataclasses import dataclass, field
 from functools import lru_cache
-from typing import Callable, Iterator, List, Optional, Sequence, Tuple
+from typing import Callable, Generator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -191,7 +197,9 @@ def _misfit3(Q: Rows3, F: Rows3) -> Tuple[float, Rows3]:
 
 
 def _random_rotations(rng: np.random.Generator, n: int, count: int) -> np.ndarray:
-    """`count` rotations uniform on SO(n), shape (count, n, n).
+    """`count` rotations uniform on SO(n), shape (count, n, n): a view of
+    their entry-major stack (n, n, count), which is contiguous, so
+    np.moveaxis(Q, 0, -1) gives the rows of each entry without a copy.
 
     The stream is consumed sample by sample (one angle per planar rotation,
     four normals per spatial one), so the first k rotations do not depend
@@ -209,11 +217,13 @@ def _random_rotations(rng: np.random.Generator, n: int, count: int) -> np.ndarra
             [2 * (b * c + a * d), a * a - b * b + c * c - d * d, 2 * (c * d - a * b)],
             [2 * (b * d - a * c), 2 * (c * d + a * b), a * a - b * b - c * c + d * d],
         ]
-    return np.stack([np.stack(row, axis=-1) for row in rows], axis=-2)
+    return np.moveaxis(np.array(rows), -1, 0)
 
 
-def _kronecker_ball_starts(count: int) -> List[np.ndarray]:
-    """Low-discrepancy axis-angle seeds filling the radius-pi ball.
+@lru_cache(maxsize=1)
+def _kronecker_ball_starts(count: int) -> Tuple[Tuple[float, float, float], ...]:
+    """Low-discrepancy axis-angle seeds filling the radius-pi ball, in Python
+    floats (built once; every spatial rotation search uses the same ones).
 
     Additive Kronecker sequence driven by the quartic analogue of the golden
     ratio; it has no chart seam at angle pi because the seeds cover both
@@ -228,8 +238,8 @@ def _kronecker_ball_starts(count: int) -> List[np.ndarray]:
         phi = 2.0 * math.pi * u[1]
         r = math.pi * u[2] ** (1.0 / 3.0)
         rho = math.sqrt(max(0.0, 1.0 - z * z))
-        starts.append(r * np.array([rho * math.cos(phi), rho * math.sin(phi), z]))
-    return starts
+        starts.append(tuple(r * x for x in (rho * math.cos(phi), rho * math.sin(phi), z)))
+    return tuple(starts)
 
 
 def _golden_min(
@@ -367,14 +377,26 @@ def grioli_oracle(F: Mat, cfg: OracleConfig) -> OracleVerdict:
 
     Planar inputs get a coarse angle scan refined by golden section; spatial
     inputs get safeguarded Newton descents on SO(3) (_rotation_newton3) from
-    20 low-discrepancy starts, each within cfg.max_iters evaluations, and
-    the search reads nothing but F. The verdict passes when the search never
-    beats the polar closed form by more than cfg.tol and the best rotation
-    lands on the polar factor. Planar stats give the starts (one scan), the
-    objective evaluations of the scan and of the golden section
-    (coarse_evaluations, fine_evaluations) and the seconds; spatial stats
-    give the starts, the accepted Newton steps and the objective
-    evaluations of all descents, and the seconds.
+    20 fixed low-discrepancy starts, run in order, each within cfg.max_iters
+    evaluations, and the search reads nothing but F. It stops after the
+    third descent that ends on the best rotation so far (misfit within
+    1e-12 relative, rotation within 1e-8 in the Frobenius norm), and
+    otherwise runs all 20. The rule rests on the misfit showing a single
+    local minimum on SO(3) for det F > 0: on the 200 spatial draws of
+    acceptance criterion 2 all 20 descents of a draw ended within 8.2e-15
+    of the polar factor and their minima spread by at most 2.4e-15
+    (relative), so the first three agree and their best lies within
+    8.5e-16 of the best of all 20. Where the misfit's roundoff exceeds
+    1e-12 of it, as for F within 1e-6 of a rotation, the descents never
+    agree that closely and all 20 run.
+
+    The verdict passes when the search never beats the polar closed form by
+    more than cfg.tol and the best rotation lands on the polar factor.
+    Planar stats give the starts (one scan), the objective evaluations of
+    the scan and of the golden section (coarse_evaluations,
+    fine_evaluations) and the seconds; spatial stats give the descents run
+    (starts), their accepted Newton steps and objective evaluations, and
+    the seconds.
     """
     t_start = time.perf_counter()
     F = _input(F, (2, 3), "rotation search supports")
@@ -394,8 +416,14 @@ def grioli_oracle(F: Mat, cfg: OracleConfig) -> OracleVerdict:
     else:
         rows = F.tolist()
         noise = 8.0 * 2.0 ** -52 * math.hypot(*F.ravel().tolist())  # roundoff of a = axial(Q^T F)
-        runs = [_rotation_newton3(rows, w0, cfg.max_iters, noise) for w0 in _kronecker_ball_starts(20)]
-        q_rows, best, _, _ = min(runs, key=lambda run: run[1])  # the first of equal minima
+        runs = []
+        for w0 in _kronecker_ball_starts(20):
+            runs.append(_rotation_newton3(rows, w0, cfg.max_iters, noise))
+            q_rows, best, _, _ = min(runs, key=lambda run: run[1])  # the first of equal minima
+            q_flat = sum(q_rows, ())
+            if sum(abs(f - best) <= 1e-12 * best and math.dist(sum(Q, ()), q_flat) <= 1e-8
+                   for Q, f, _, _ in runs) >= 3:
+                break
         q_best = np.array(q_rows)
         stats = {"starts": len(runs), "newton_steps": sum(run[3] for run in runs),
                  "evaluations": sum(run[2] for run in runs)}
@@ -470,15 +498,34 @@ def _polyline_length(E: np.ndarray, p: MetricParams) -> float:
     """
     if not _in_gl_plus(E):
         return math.inf
-    t, w = _GL16
-    return float(np.sum(_stacked_weighted_norms(_chords(E, t)[1], p) @ w))
+    return _chord_length(_chords(E, _GL16[0])[1], p)
+
+
+def _chord_length(Z: np.ndarray, p: MetricParams) -> float:
+    """The summed lengths of the chords whose Z_q = M_q^-1 D on the 16-point
+    rule are the entry-major stack Z (n, n, N, 16)."""
+    return float(np.sum(_stacked_weighted_norms(Z, p) @ _GL16[1]))
+
+
+@dataclass(frozen=True)
+class _ChordPass:
+    """What one pass over the chords of a node stack gives on demand besides
+    the energy and gradient: calling it gives the Hessian, length() the
+    _polyline_length of the same nodes (which lie in GL+)."""
+
+    hessian: Callable[[], object]
+    length: Callable[[], float]
+
+    def __call__(self) -> object:
+        return self.hessian()
 
 
 def _path_energy(E: np.ndarray, p: MetricParams, hessian: bool = False) -> tuple:
     """Discrete path energy of an entry-major node stack E (n, n, ..., N+1)
     in GL+, and its gradient, of the same shape, for every stack along the
-    axes between. With hessian (and no stack axes), also a function that
-    gives every chord's Hessian block from the same pass (_chord_hessians).
+    axes between. With hessian (and no stack axes), also a _ChordPass that
+    gives every chord's Hessian block (_chord_hessians) and the polyline
+    length from the same pass.
 
     E = N sum_chords sum_q w_q ||Z_q||_p^2, with Z_q = M_q^-1 D and
     M_q = A + t_q D for the chord A -> A + D, on the 16-point rule of
@@ -501,7 +548,8 @@ def _path_energy(E: np.ndarray, p: MetricParams, hessian: bool = False) -> tuple
     value = 0.5 * (Z * G).sum(axis=(0, 1, -2, -1))
     if not hessian:
         return value, grad
-    return value, grad, lambda: _chord_hessians(c, M_inv, Z, H, p)
+    return value, grad, _ChordPass(lambda: _chord_hessians(c, M_inv, Z, H, p),
+                                   lambda: _chord_length(Z, p))
 
 
 def _chord_hessians(
@@ -620,17 +668,18 @@ def _least_eigenvector(
 
 def _newton(
     x: np.ndarray, nodes_of: Callable, energy: Callable, max_evals: int, stats: dict
-) -> Iterator[Tuple[np.ndarray, float]]:
+) -> Generator[Tuple[np.ndarray, float], None, float]:
     """Newton descent of the path energy over the variables x of
     _path_objective, from a start whose polyline lies in GL+.
 
-    Yields every accepted iterate (x, value), the start first. A step solves
+    Yields every accepted iterate (x, value), the start first, and returns
+    the polyline length of the last one, from its chord pass. A step solves
     with the exact Hessian (energy(x, hessian=True), from the chord pass of
     the accepted iterate), shifted by tau id where that is not positive
     definite (Nocedal and Wright, Numerical Optimization, 2nd ed., 3.4 and
     8.1). From the unit step, a trial that leaves GL+ halves the step
     without an evaluation, and one that misses the Armijo decrease halves
-    it after one.
+    it after one; either way its node stack is built once.
 
     When the Newton decrement reaches roundoff relative to the value after
     a shifted solve, x may be a saddle, where the shifted step is as small
@@ -646,12 +695,12 @@ def _newton(
     giving value, gradient and Hessian) would exceed max_evals. Counters
     and the stop reason go into stats.
     """
-    f, g, hessian = energy(x, True)
+    f, g, chords = energy(x, True)
     stats.update(newton_steps=0, evaluations=1, shifts=0, backtracks=0, gl_halvings=0, escapes=0)
     yield x, f
     tau = floor = 0.0
     while True:
-        diag, sub, angle = hessian()
+        diag, sub, angle = chords()
         # carry a quarter of tau over until it reaches the floor; searching
         # afresh on each step costs more failed factorizations
         tau = 0.25 * tau if tau > floor else 0.0
@@ -674,31 +723,32 @@ def _newton(
                 d, curvature = _least_eigenvector(diag, sub, angle, tau)
             if not curvature < 0.0:
                 stats["stop"] = "converged"
-                return
+                return chords.length()
             d = -d if g @ d > 0.0 else d
             slope = float(g @ d)
         while True:
             model = alpha * slope + 0.5 * alpha * alpha * curvature
             if alpha < 2.0 ** -40 or (curvature < 0.0 and -model <= roundoff):
                 stats["stop"] = "converged"
-                return
+                return chords.length()
             if stats["evaluations"] >= max_evals:
                 stats["stop"] = "evaluations"
-                return
+                return chords.length()
             trial = x + alpha * d
-            if not _in_gl_plus(nodes_of(trial)):
+            nodes = nodes_of(trial)
+            if not _in_gl_plus(nodes):
                 stats["gl_halvings"] += 1
             else:
                 stats["evaluations"] += 1
-                f_trial, g_trial, h_trial = energy(trial, True)
+                f_trial, g_trial, chords_trial = energy(trial, True, nodes)
                 if f_trial <= f + 1e-4 * model and (curvature == 0.0 or f - f_trial > roundoff):
                     break
                 stats["backtracks"] += 1
             alpha *= 0.5
         if not f_trial < f:
             stats["stop"] = "converged"
-            return
-        x, f, g, hessian = trial, f_trial, g_trial, h_trial
+            return chords.length()
+        x, f, g, chords = trial, f_trial, g_trial, chords_trial
         stats["newton_steps"] += 1
         stats["escapes"] += int(curvature < 0.0)
         yield x, f
@@ -742,8 +792,9 @@ def _path_objective(
     descent 2% above the distance. Returns x0, nodes_of (x -> entry-major
     node stack (2, 2, N+1)) and energy (x -> _path_energy and its gradient
     in x, written out entry by entry), which assumes the polyline lies in
-    GL+. energy(x, hessian=True) adds a function giving the Hessian in x
-    from the same chord pass: the diagonal blocks of the interior nodes, a
+    GL+; it builds the node stack with nodes_of unless given it as nodes.
+    energy(x, hessian=True) adds a _ChordPass of the polyline's length and
+    the Hessian in x: the diagonal blocks of the interior nodes, a
     stack (N-1, 4, 4), the blocks below them, (N-2, 4, 4), and, with the
     angle free, its diagonal entry and its 4-vector coupling to interior
     node 1 (else None). As X_k = X0_k (id + xi_k) is linear in xi_k, a node
@@ -769,8 +820,8 @@ def _path_objective(
                 E[i, j, 1:n_seg] = inner[i, j] + prod
         return E
 
-    def energy(x: np.ndarray, hessian: bool = False) -> tuple:
-        value, G, *chord_hessians = _path_energy(nodes_of(x), p, hessian)
+    def energy(x: np.ndarray, hessian: bool = False, nodes: Optional[np.ndarray] = None) -> tuple:
+        value, G, *chords = _path_energy(nodes_of(x) if nodes is None else nodes, p, hessian)
         Gi, G0 = G[..., 1:n_seg], G[..., 0]
         g = np.empty(x.shape)
         for i in range(2):  # X0_k^T G_k
@@ -783,7 +834,7 @@ def _path_objective(
             return value, g
 
         def in_x() -> Tuple[np.ndarray, np.ndarray, Optional[Tuple[float, np.ndarray]]]:
-            K = chord_hessians[0]().reshape(n_seg, 2, 4, 2, 4)  # [chord, start/end node, entry]
+            K = chords[0]().reshape(n_seg, 2, 4, 2, 4)  # [chord, start/end node, entry]
             diag = J.swapaxes(1, 2) @ (K[:-1, 1, :, 1] + K[1:, 0, :, 0]) @ J
             sub = J[1:].swapaxes(1, 2) @ K[1:-1, 1, :, 0] @ J[:-1]
             if not free:
@@ -792,7 +843,7 @@ def _path_objective(
             bend = c * (G0[0, 0] + G0[1, 1]) + s * (G0[1, 0] - G0[0, 1])  # <G_0, rot(theta)>
             return diag, sub, (float(d @ K[0, 0, :, 0] @ d - bend), d @ K[0, 0, :, 1] @ J[0])
 
-        return value, g, in_x
+        return value, g, _ChordPass(in_x, chords[0].length)
 
     return np.concatenate([[theta0] if free else [], np.zeros(4 * (n_seg - 1))]), nodes_of, energy
 
@@ -808,9 +859,10 @@ def _run_path_search(
     det = 0, the two-phase polyline, whose chords stay in GL+ (turns
     shorter than pi, then stretches between SPD factors). No randomness
     beyond the one fixed draw of _least_eigenvector. Returns the
-    _polyline_length of the final polyline and the stats: newton_steps,
-    evaluations, shifts, backtracks, gl_halvings, escapes, start, nodes,
-    theta, stop and seconds.
+    _polyline_length of the final polyline, which _newton takes from that
+    polyline's chord pass, and the stats: newton_steps, evaluations,
+    shifts, backtracks, gl_halvings, escapes, start, nodes, theta, stop and
+    seconds.
     """
     t_start = time.perf_counter()
     pol = polar_decompose(F)
@@ -822,11 +874,16 @@ def _run_path_search(
         X0 = _two_phase_nodes(F, theta0, theta_r, pol.right_stretch, cfg.nodes)
         stats["start"] = "two_phase"
     x0, nodes_of, energy = _path_objective(X0, theta0 if pinned_theta is None else None, p)
-    for x, _ in _newton(x0, nodes_of, energy, int(cfg.max_iters), stats):
-        pass
+    descent = _newton(x0, nodes_of, energy, int(cfg.max_iters), stats)
+    while True:
+        try:
+            x, _ = next(descent)
+        except StopIteration as stop:
+            length = stop.value
+            break
     stats["theta"] = theta0 if pinned_theta is not None else float(x[0])
     stats["seconds"] = time.perf_counter() - t_start
-    return _polyline_length(nodes_of(x), p), stats
+    return length, stats
 
 
 def _path_activity(F: np.ndarray, theta_span: float) -> float:
@@ -1118,6 +1175,19 @@ def _stacked_weighted_norms(S: np.ndarray, p: MetricParams) -> np.ndarray:
     return np.sqrt(np.maximum(np.sum(S * _metric_map(S, p), axis=(0, 1)), 0.0))
 
 
+# Two entries: a caller that checks 2x2 and 3x3 inputs under one config, as
+# acceptance criterion 3 does, keeps the draws of both dimensions.
+@lru_cache(maxsize=2)
+def _rotation_draws(seed: int, n: int, count: int) -> np.ndarray:
+    """The `count` rotations that _random_rotations draws on SO(n) from
+    substream(seed, 0), as their contiguous entry-major stack (n, n, count).
+    Remembered, so the array is read-only (about 0.7 MB for 10^4 spatial
+    draws)."""
+    Q = np.moveaxis(_random_rotations(substream(seed, 0), n, count), 0, -1)
+    Q.setflags(write=False)
+    return Q
+
+
 # One entry: logmin_oracle and weighted_logmin_oracle check one F under one
 # config back to back, and what they sample does not depend on the metric.
 @lru_cache(maxsize=1)
@@ -1125,14 +1195,19 @@ def _sampled_logs(
     f_key: bytes, r_key: bytes, n: int, seed: int, samples: int
 ) -> Tuple[np.ndarray, np.ndarray, np.ndarray, int]:
     """The rotations Q of a log sampling of the n x n F with polar rotation
-    R, given by their bytes: R, then `samples` draws from
-    substream(seed, 0). Returns Q, the _principal_logs of every Q^T F with
-    their ok mask, and the count of clustered entries. The last result is
+    R, given by their bytes: R, then the `samples` draws of
+    _rotation_draws(seed, n, samples). Returns Q, the _principal_logs of
+    every Q^T F with their ok mask, and the count of clustered entries. The
+    products Q^T F are formed in the entry-major layout of the draws, a
+    contiguous stack (n, n, samples + 1), so _principal_logs works on
+    contiguous rows. The last result is
     remembered, so its arrays are read-only; errors are never remembered."""
     F, R = (np.frombuffer(key).reshape(n, n) for key in (f_key, r_key))
-    Q = np.concatenate([R[np.newaxis], _random_rotations(substream(seed, 0), n, samples)])
+    Q = np.concatenate([R[:, :, np.newaxis], _rotation_draws(seed, n, samples)], axis=-1)
     stats: dict = {}
-    logs, ok = _principal_logs(np.swapaxes(Q, -1, -2) @ F, stats)
+    QtF = _entry_matmul(Q.swapaxes(0, 1), F[:, :, np.newaxis])
+    logs, ok = _principal_logs(np.moveaxis(QtF, -1, 0), stats)
+    Q = np.moveaxis(Q, -1, 0)
     for X in (Q, logs, ok):
         X.setflags(write=False)
     return Q, logs, ok, stats["clustered"]
@@ -1143,13 +1218,17 @@ def _logmin_impl(F: np.ndarray, cfg: OracleConfig, p: MetricParams, claim: str) 
     with the closed form dist(F, SO(n)) under p.
 
     Index 0 of the stack is the polar factor, followed by cfg.samples draws
-    from substream(cfg.seed, 0). All Q^T F go through _principal_logs in one
-    stack, which the next call on the same F and config reuses whatever its
-    metric (_sampled_logs); samples without a principal log are skipped.
-    The reductions keep sample order: the witness is the first violating
-    sample, or else the first minimizer, and equality with the closed form
-    is judged at the polar factor. The stats give the sample count, the entries skipped (the
-    polar factor included) and the clustered entries.
+    from substream(cfg.seed, 0), which are drawn once per seed, dimension
+    and count and then remembered (_rotation_draws), so a caller checking
+    several F under one config pays for them once. All Q^T F go through
+    _principal_logs in one contiguous entry-major stack, which the next call
+    on the same F and config reuses whatever its metric (_sampled_logs);
+    samples without a principal log are skipped. The norms work on the
+    contiguous rows of the logs. The reductions keep sample order: the
+    witness is the first violating sample, or else the first minimizer, and
+    equality with the closed form is judged at the polar factor. The stats
+    give the sample count, the entries skipped (the polar factor included)
+    and the clustered entries.
     """
     closed = dist_squared_to_SO(F, p).distance
     Q, logs, ok, clustered = _sampled_logs(

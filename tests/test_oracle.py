@@ -207,9 +207,10 @@ class TestGrioliOracle:
             if F.shape[0] == 2:  # the witness builds one more
                 assert s["coarse_evaluations"] + s["fine_evaluations"] + 1 == len(calls)
                 assert s["starts"] == 1 and s["coarse_evaluations"] == 40
-            else:  # a start evaluates itself, then at most max_iters - 1 trial rotations
+            else:  # a start evaluates itself, then at most max_iters - 1 trial rotations;
+                # the first three descents end on the polar factor, so three run
                 assert s["evaluations"] == len(calls)
-                assert s["starts"] == 20 and 20 <= s["evaluations"] <= 20 * 50
+                assert s["starts"] == 3 and 3 <= s["evaluations"] <= 3 * 50
                 assert s["newton_steps"] <= s["evaluations"] - s["starts"]
             assert s["seconds"] > 0.0
             tag = "PASS" if v.passed else "FAIL"
@@ -217,6 +218,44 @@ class TestGrioliOracle:
                 f"[{tag}] {v.claim}: closed_form={v.closed_form_value:.9g} "
                 f"oracle={v.oracle_value:.9g} gap={v.relative_gap:.3g}"
             )
+
+    def test_spatial_search_stops_once_three_descents_agree(self):
+        # acceptance criterion 2's spatial draws: the first three descents end
+        # on the best rotation, and their best is that of all 20 starts
+        cfg = OracleConfig(seed=102, samples=64, nodes=4, tol=1e-6, max_iters=60000)
+        rng = substream(102, 1)
+        for _ in range(200):
+            F = random_gl(rng, 3)
+            v = grioli_oracle(F, cfg)
+            assert v.passed and v.stats["starts"] == 3
+            noise = 8.0 * 2.0 ** -52 * math.hypot(*F.ravel().tolist())
+            every = [oracle._rotation_newton3(F.tolist(), w0, cfg.max_iters, noise)
+                     for w0 in oracle._kronecker_ball_starts(20)]
+            best = min(run[1] for run in every)
+            assert abs(v.oracle_value - best) <= 1e-15 * best
+
+    @pytest.mark.parametrize("apart", ["misfit", "rotation"])
+    def test_disagreeing_descents_run_every_start(self, monkeypatch, apart):
+        # descents whose ends differ by more than the rule's 1e-12 relative in
+        # the misfit or 1e-8 in the rotation never agree, so all 20 run
+        exact, ends = oracle._rotation_newton3, []
+
+        def apart_ends(F, w0, budget, noise):
+            Q, f, evals, steps = exact(F, w0, budget, noise)
+            k = len(ends)
+            if apart == "misfit":
+                f *= 1.0 + 1e-10 * k
+            else:
+                Q = tuple(map(tuple, np.array(Q) @ np.array(oracle._rot3_rows([0.0, 0.0, 1e-7 * k]))))
+            ends.append((Q, f, evals, steps))
+            return ends[-1]
+
+        monkeypatch.setattr(oracle, "_rotation_newton3", apart_ends)
+        v = grioli_oracle(random_gl(np.random.default_rng(109), 3), self.CFG)
+        assert v.stats["starts"] == len(ends) == 20
+        assert v.stats["evaluations"] == sum(run[2] for run in ends)
+        assert np.array_equal(v.witness, np.array(min(ends, key=lambda run: run[1])[0]))
+        assert v.passed
 
 
 def matrix_misfit3(w, F):
@@ -707,6 +746,53 @@ class TestPathEnergySearch:
                 f"oracle={v.oracle_value:.9g} gap={v.relative_gap:.3g}"
             )
 
+    @pytest.mark.parametrize("pinned", [False, True], ids=["free", "pinned"])
+    def test_length_comes_from_the_last_chord_pass(self, monkeypatch, pinned):
+        # on acceptance criterion 1's first draws and node rule: the value is
+        # the _polyline_length of the final iterate, bit for bit, and each
+        # trial's node stack is built once, for its GL+ test and its chord pass
+        exact_objective, exact_newton, exact_energy = (
+            oracle._path_objective, oracle._newton, oracle._path_energy)
+        built, evaluated, search = [], [], {}
+
+        def objective(X0, theta0, p):
+            x0, nodes_of, energy = exact_objective(X0, theta0, p)
+            search["nodes_of"] = nodes_of
+            return x0, lambda x: built.append(nodes_of(x)) or built[-1], energy
+
+        def newton(*args):
+            descent = exact_newton(*args)
+            while True:
+                try:
+                    search["last"] = next(descent)
+                except StopIteration as stop:
+                    return stop.value
+                yield search["last"]
+
+        monkeypatch.setattr(oracle, "_path_objective", objective)
+        monkeypatch.setattr(oracle, "_newton", newton)
+        monkeypatch.setattr(oracle, "_path_energy",
+                            lambda E, p, hessian=False: evaluated.append(E) or exact_energy(E, p, hessian))
+        rng = substream(101, 0)
+        for triple in ((1.0, 1.0, 1.0), (2.0, 1.0, 1.0), (1.0, 3.0, 0.5)):
+            F, p = random_gl(rng, 2), MetricParams(*triple)
+            R = polar_decompose(F).rotation
+            theta = math.atan2(R[1, 0], R[0, 0])
+            nodes = min(80, max(12, math.ceil(16.0 * _path_activity(F, abs(theta)))))
+            cfg = OracleConfig(seed=101, samples=1, nodes=nodes, tol=0.02, max_iters=200000)
+            built.clear()
+            evaluated.clear()
+            if pinned:
+                value, s = _run_path_search(F, p, cfg, pinned_theta=theta + 0.5)
+            else:
+                v = geodesic_distance_oracle(F, p, cfg)
+                value, s = v.oracle_value, v.stats
+                assert v.passed
+            assert value == _polyline_length(search["nodes_of"](search["last"][0]), p)
+            assert s["stop"] == "converged" and len(evaluated) == s["evaluations"]
+            assert len(built) == s["evaluations"] - 1 + s["gl_halvings"]
+            assert all(any(E is B for B in built) for E in evaluated[1:])
+
 
 class TestUniquenessProbe:
     CFG = OracleConfig(seed=11, samples=5, nodes=14, tol=0.02, max_iters=120000)
@@ -917,3 +1003,51 @@ class TestSampledLogsMemo:
         monkeypatch.setattr(oracle, "_principal_logs", exact)
         assert logmin_oracle(self.F, self.CFG).passed
         assert calls == [301]
+
+
+class TestRotationDrawsMemo:
+    """A log sampling draws its rotations once per seed, dimension and
+    count, and checks of several F under one config share them."""
+
+    CFG = OracleConfig(seed=53, samples=300)
+
+    @pytest.fixture
+    def draws(self, monkeypatch):
+        """Records (n, count) of every _random_rotations call, with both
+        memos cleared before and after."""
+        exact, calls = oracle._random_rotations, []
+
+        def counting(rng, n, count):
+            calls.append((n, count))
+            return exact(rng, n, count)
+
+        monkeypatch.setattr(oracle, "_random_rotations", counting)
+        for memo in (oracle._rotation_draws, oracle._sampled_logs):
+            memo.cache_clear()
+        yield calls
+        for memo in (oracle._rotation_draws, oracle._sampled_logs):
+            memo.cache_clear()
+
+    def test_inputs_under_one_config_draw_once(self, draws):
+        rng = np.random.default_rng(107)
+        F, G, H = random_gl(rng, 3), random_gl(rng, 3), random_gl(rng, 2)
+        verdicts = [logmin_oracle(F, self.CFG), logmin_oracle(G, self.CFG),
+                    logmin_oracle(H, self.CFG), logmin_oracle(F, self.CFG)]
+        assert draws == [(3, 300), (2, 300)]  # one entry per dimension
+        assert all(v.passed for v in verdicts)
+        Q = oracle._rotation_draws(53, 3, 300)
+        assert draws == [(3, 300), (2, 300)]
+        assert Q.shape == (3, 3, 300) and Q.flags.c_contiguous
+        assert np.array_equal(np.moveaxis(Q, -1, 0), _random_rotations(substream(53, 0), 3, 300))
+        assert not Q.flags.writeable
+        with pytest.raises(ValueError):
+            Q[0, 0, 0] = 1.0
+
+    def test_another_seed_dimension_or_count_draws_afresh(self, draws):
+        rng = np.random.default_rng(113)
+        F, H = random_gl(rng, 3), random_gl(rng, 2)
+        logmin_oracle(F, self.CFG)
+        logmin_oracle(F, OracleConfig(seed=54, samples=300))
+        logmin_oracle(F, OracleConfig(seed=54, samples=299))
+        logmin_oracle(H, OracleConfig(seed=54, samples=299))
+        assert draws == [(3, 300), (3, 300), (3, 299), (2, 299)]
