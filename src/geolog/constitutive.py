@@ -12,8 +12,9 @@ gradient, evaluate corotational and convected rates along sampled motions,
 and check the two rate identities that hold exactly for the Almansi strain
 and for coaxial logarithmic strain.
 
-Every energy and the Kirchhoff stress are scalar work on the singular values
-of one SVD of F (matcore.stretch_spectrum), the left frame carrying the stress.
+Every energy, the Kirchhoff stress and the Cauchy conversion are scalar work
+on the singular values of one SVD of F (matcore.stretch_spectrum, written out
+for 2x2 F), the left frame carrying the stress.
 """
 
 from __future__ import annotations
@@ -218,13 +219,24 @@ def kirchhoff_stress(model: MaterialModel, F: Mat) -> Mat:
 def cauchy_stress(tau: Mat, F: Mat) -> Mat:
     """Cauchy stress from a Kirchhoff stress: sigma = tau / det F.
 
-    1 / det F comes from log det F through math.exp, so it stays right where
-    det F itself under- or overflows (1e-150 id in 3D).  Raises OverflowError
-    when 1 / det F or the stress leaves the double range; a stress that
-    underflows is 0.
+    log det F is the sum of the log singular values from the
+    :func:`matcore.stretch_spectrum` of F, which the Kirchhoff stress of the
+    same F has already paid for, and whose checks and errors apply.  1 / det F
+    comes from log det F through math.exp, so it stays right where det F
+    itself under- or overflows (1e-150 id in 3D).  A stress that underflows
+    is 0.
+
+    Raises
+    ------
+    NonPositiveDeterminantError
+        If det F <= 0.
+    SingularMatrixError
+        If the condition number of F exceeds ``matcore.COND_LIMIT``.
+    OverflowError
+        If 1 / det F or the stress leaves the double range.
     """
     tau = as_square(tau, "tau")
-    _, log_det = gl_plus_log_det(F)
+    log_det = sum(map(math.log, stretch_spectrum(F)[1].tolist()))
     with np.errstate(over="ignore"):
         sigma = tau * math.exp(-log_det)
     if not np.isfinite(sigma).all():

@@ -8,6 +8,11 @@ built on it, one quadratic potential of principal strains, and principal
 matrix functions on the classes that occur in elasticity (symmetric positive
 definite matrices, rotations, and general square matrices for exp).
 
+For n = 2 the SVD of F and the eigendecomposition of an SPD matrix are
+written out in closed form (:func:`_planar_svd`, :func:`_planar_eigh`), so
+the planar closed forms cost about their arithmetic; larger matrices go
+through LAPACK.  Both routes apply the same checks and raise the same errors.
+
 All functions are pure and operate on ``numpy.ndarray`` values of shape
 ``(n, n)``.  Comparisons are made relative to ``n`` times the max-entry
 magnitude of the operands, with an absolute floor of 1e-14.
@@ -16,6 +21,7 @@ magnitude of the operands, with an absolute floor of 1e-14.
 from __future__ import annotations
 
 import math
+import struct
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Sequence
@@ -85,7 +91,7 @@ def require_gl_plus(F: "Mat | list", name: str = "F") -> Mat:
 
 
 def _tol(rel: float, *mats: Mat) -> float:
-    scale = max((m.shape[0] * float(np.max(np.abs(m))) for m in mats), default=1.0)
+    scale = max((m.shape[0] * float(abs(m).max()) for m in mats), default=1.0)
     return max(rel * max(scale, 1.0), ABS_FLOOR)
 
 
@@ -104,8 +110,14 @@ def deviatoric(X: Mat) -> Mat:
 
 
 def is_symmetric(X: Mat, tol: float = 1e-10) -> bool:
-    X = as_square(X)
-    return float(np.max(np.abs(X - X.T))) <= _tol(tol, X)
+    return _symmetric(as_square(X), tol)
+
+
+def _symmetric(X: Mat, tol: float) -> bool:
+    """is_symmetric of an array as_square already returned; an exact match
+    skips the tolerance."""
+    gap = float(abs(X - X.T).max())
+    return gap == 0.0 or gap <= _tol(tol, X)
 
 
 def is_skew(X: Mat, tol: float = 1e-10) -> bool:
@@ -115,7 +127,7 @@ def is_skew(X: Mat, tol: float = 1e-10) -> bool:
 
 def is_spd(X: Mat, tol: float = 1e-10) -> bool:
     X = as_square(X)
-    if not is_symmetric(X, tol):
+    if not _symmetric(X, tol):
         return False
     w = np.linalg.eigvalsh(sym_part(X))
     return bool(w[0] > 0.0)
@@ -222,6 +234,10 @@ def stretch_spectrum(F: Mat) -> tuple[Mat, np.ndarray, Mat]:
     det F > 0 and the condition number bounded, det(A B^T) = +1, so A B^T is
     a rotation.
 
+    A 2x2 F has its spectrum written out (:func:`_planar_svd`), with A and B
+    rotations; larger F go through LAPACK.  Both routes apply the same
+    checks and raise the same errors.
+
     The spectrum of the last F is remembered, keyed on its shape and bytes,
     so the closed forms evaluated one after another on one F share one SVD.
     A, s and B are therefore read-only; an F changed in place, or any other
@@ -238,19 +254,61 @@ def stretch_spectrum(F: Mat) -> tuple[Mat, np.ndarray, Mat]:
     return _spectrum_of(F.tobytes(), F.shape)
 
 
+_FOUR_DOUBLES = struct.Struct("4d")  # the bytes of a 2x2 float array
+
+
 # One entry: the closed forms of one F run back to back, and a longer memory
 # would serve repeats of earlier inputs from a table.
 @lru_cache(maxsize=1)
 def _spectrum_of(key: bytes, shape: tuple[int, ...]) -> tuple[Mat, np.ndarray, Mat]:
-    F = np.frombuffer(key).reshape(shape)
-    A, s, Bt = np.linalg.svd(require_gl_plus(F))
-    if s[-1] <= 0.0 or s[0] / s[-1] > COND_LIMIT:
-        raise SingularMatrixError(
-            f"condition number {s[0] / max(s[-1], 1e-300):.3e} exceeds {COND_LIMIT:g}"
-        )
-    for X in (A, s, Bt):
-        X.setflags(write=False)
-    return A, s, Bt.T
+    if shape == (2, 2):
+        A, s, B = _planar_svd(*_FOUR_DOUBLES.unpack(key))
+    else:
+        A, s, Bt = np.linalg.svd(require_gl_plus(np.frombuffer(key).reshape(shape)))
+        for X in (A, s, Bt):
+            X.setflags(write=False)
+        B = Bt.T
+    values = s.tolist()
+    hi, lo = values[0], values[-1]
+    if lo <= 0.0 or hi / lo > COND_LIMIT:
+        raise SingularMatrixError(f"condition number {hi / max(lo, 1e-300):.3e} exceeds {COND_LIMIT:g}")
+    return A, s, B
+
+
+def _planar_svd(a: float, b: float, c: float, d: float) -> tuple[Mat, np.ndarray, Mat]:
+    """SVD of F = [[a, b], [c, d]] in closed form, with the checks of
+    :func:`require_gl_plus` (Blinn, "Consider the lowly 2x2 matrix", 1996);
+    A, s and B are read-only.
+
+    F = E id + K J + G diag(1, -1) + H [[0, 1], [1, 0]] with E = (a+d)/2,
+    G = (a-d)/2, H = (c+b)/2, K = (c-b)/2 and J the quarter turn: a scaled
+    rotation by alpha = atan2(K, E) plus a scaled reflection at angle
+    beta = atan2(H, G).  So s_0 = hypot(E, K) + hypot(G, H), s_1 = det F / s_0,
+    and A, B are the rotations by (alpha + beta)/2 and (beta - alpha)/2.
+    F is first divided by a power of two, so det F neither under- nor
+    overflows; s_1 carries det F's absolute error, about eps s_0, as LAPACK's
+    does.
+    """
+    if not (math.isfinite(a) and math.isfinite(b) and math.isfinite(c) and math.isfinite(d)):
+        raise ValueError("F has non-finite entries")
+    # 2^-k max |entry| lies in [1/2, 1): dividing by 2^k is exact, and keeps
+    # products of two entries inside the double range
+    k = math.frexp(max(abs(a), abs(b), abs(c), abs(d)))[1]
+    a, b, c, d = math.ldexp(a, -k), math.ldexp(b, -k), math.ldexp(c, -k), math.ldexp(d, -k)
+    det = a * d - b * c
+    if det <= 0.0:
+        raise NonPositiveDeterminantError(f"det F {'= 0' if det == 0.0 else '< 0'} is not positive")
+    e, g, h, q = (a + d) / 2.0, (a - d) / 2.0, (c + b) / 2.0, (c - b) / 2.0
+    top = math.hypot(e, q) + math.hypot(g, h)
+    alpha, beta = math.atan2(q, e), math.atan2(h, g)
+    phi, theta = (alpha + beta) / 2.0, (beta - alpha) / 2.0
+    cp, sp, ct, st = math.cos(phi), math.sin(phi), math.cos(theta), math.sin(theta)
+    # read-only views of one array: each np.array or setflags call costs
+    # about as much as the arithmetic above
+    out = np.array((cp, -sp, sp, cp, ct, -st, st, ct, math.ldexp(top, k), math.ldexp(det / top, k)))
+    out.setflags(write=False)
+    frames = out[:8].reshape(2, 2, 2)
+    return frames[0], out[8:], frames[1]
 
 
 def log_invariants(logs: Sequence[float]) -> tuple[float, float]:
@@ -286,13 +344,43 @@ def polar_decompose(F: Mat) -> PolarDecomposition:
 
 
 def _assert_spd(P: Mat, name: str) -> tuple[np.ndarray, np.ndarray]:
+    """Eigenvalues (ascending) and eigenvectors of sym P, for P symmetric to
+    1e-10 and positive definite; a 2x2 P goes through :func:`_planar_eigh`."""
     P = as_square(P, name)
-    if not is_symmetric(P):
+    if not _symmetric(P, 1e-10):
         raise NotSPDError(f"{name} is not symmetric")
-    w, V = np.linalg.eigh(sym_part(P))
+    if P.shape == (2, 2):
+        (a, b), (c, d) = P.tolist()
+        w, V = _planar_eigh(a, (b + c) / 2.0, d)
+    else:
+        w, V = np.linalg.eigh(sym_part(P))
     if w[0] <= 0.0:
         raise NotSPDError(f"{name} has non-positive eigenvalue {w[0]:g}")
     return w, V
+
+
+def _planar_eigh(a: float, h: float, d: float) -> tuple[np.ndarray, Mat]:
+    """Ascending eigenvalues and rotation eigenframe of [[a, h], [h, d]]:
+    the closed form of :func:`_planar_svd` with K = 0.
+
+    The larger eigenvalue is E + hypot(G, H); when it is positive the smaller
+    is det / larger, so it keeps det's absolute error, about eps of the
+    larger, as LAPACK's does.  The frame turns by half of atan2(H, G) (of
+    atan2(-H, -G) when G < 0), so a diagonal matrix keeps an exact frame.
+    """
+    k = math.frexp(max(abs(a), abs(h), abs(d)))[1]  # as in _planar_svd
+    a, h, d = math.ldexp(a, -k), math.ldexp(h, -k), math.ldexp(d, -k)
+    e, g = (a + d) / 2.0, (a - d) / 2.0
+    top = e + math.hypot(g, h)
+    low = (a * d - h * h) / top if top > 0.0 else e - math.hypot(g, h)
+    w = np.array([math.ldexp(low, k), math.ldexp(top, k)])
+    if g >= 0.0:  # (cos t, sin t) spans the larger eigenvalue's axis
+        t = math.atan2(h, g) / 2.0
+        c, s = math.sin(t), -math.cos(t)
+    else:  # (cos t, sin t) spans the smaller one's
+        t = math.atan2(-h, -g) / 2.0
+        c, s = math.cos(t), math.sin(t)
+    return w, np.array([[c, -s], [s, c]])
 
 
 def spd_function(P: Mat, f, name: str = "P") -> Mat:
@@ -342,7 +430,7 @@ def mat_exp(X: Mat) -> Mat:
     """
     X = as_square(X, "X")
     n = X.shape[0]
-    if is_symmetric(X, tol=1e-13):
+    if _symmetric(X, 1e-13):
         S = sym_part(X)
         w, V = np.linalg.eigh(S)
         with np.errstate(over="ignore", invalid="ignore"):

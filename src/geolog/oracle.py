@@ -380,15 +380,16 @@ def grioli_oracle(F: Mat, cfg: OracleConfig) -> OracleVerdict:
     20 fixed low-discrepancy starts, run in order, each within cfg.max_iters
     evaluations, and the search reads nothing but F. It stops after the
     third descent that ends on the best rotation so far (misfit within
-    1e-12 relative, rotation within 1e-8 in the Frobenius norm), and
-    otherwise runs all 20. The rule rests on the misfit showing a single
-    local minimum on SO(3) for det F > 0: on the 200 spatial draws of
-    acceptance criterion 2 all 20 descents of a draw ended within 8.2e-15
-    of the polar factor and their minima spread by at most 2.4e-15
-    (relative), so the first three agree and their best lies within
-    8.5e-16 of the best of all 20. Where the misfit's roundoff exceeds
-    1e-12 of it, as for F within 1e-6 of a rotation, the descents never
-    agree that closely and all 20 run.
+    1e-12 relative, or within 8 eps ||F||, the roundoff the descents stop
+    on; rotation within 1e-8 in the Frobenius norm), and otherwise runs
+    all 20. The rule rests on the misfit showing a single local
+    minimum on SO(3) for det F > 0: on the 200 spatial draws of acceptance
+    criterion 2 all 20 descents of a draw ended within 8.2e-15 of the
+    polar factor and their minima spread by at most 2.4e-15 (relative), so
+    the first three agree and their best lies within 8.5e-16 of the best
+    of all 20. The floor matters where the misfit is small: for F within
+    1e-6 of a rotation, or F = id, the misfit's roundoff exceeds 1e-12 of
+    it, and without the floor the descents never agree and all 20 run.
 
     The verdict passes when the search never beats the polar closed form by
     more than cfg.tol and the best rotation lands on the polar factor.
@@ -420,8 +421,8 @@ def grioli_oracle(F: Mat, cfg: OracleConfig) -> OracleVerdict:
         for w0 in _kronecker_ball_starts(20):
             runs.append(_rotation_newton3(rows, w0, cfg.max_iters, noise))
             q_rows, best, _, _ = min(runs, key=lambda run: run[1])  # the first of equal minima
-            q_flat = sum(q_rows, ())
-            if sum(abs(f - best) <= 1e-12 * best and math.dist(sum(Q, ()), q_flat) <= 1e-8
+            q_flat, agree = sum(q_rows, ()), max(1e-12 * best, noise)
+            if sum(abs(f - best) <= agree and math.dist(sum(Q, ()), q_flat) <= 1e-8
                    for Q, f, _, _ in runs) >= 3:
                 break
         q_best = np.array(q_rows)

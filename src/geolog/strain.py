@@ -19,8 +19,8 @@ import numpy as np
 
 from .matcore import (
     Mat,
+    _symmetric,
     as_square,
-    is_symmetric,
     principal_log_spd,
     spd_function,
     sym_part,
@@ -45,8 +45,7 @@ class StrainTensor:
     order: "float | str"
 
     def __post_init__(self) -> None:
-        V = as_square(self.value, "strain value")
-        if not is_symmetric(V, tol=1e-12):
+        if not _symmetric(as_square(self.value, "strain value"), 1e-12):
             raise ValueError("strain tensor value must be symmetric")
         if self.kind not in _KINDS:
             raise ValueError(f"kind must be one of {_KINDS}, got {self.kind!r}")

@@ -8,8 +8,10 @@ import pytest
 
 import geolog.matcore
 from geolog.matcore import (
+    COND_LIMIT,
     MetricParams,
     NonPositiveDeterminantError,
+    SingularMatrixError,
     mat_exp,
     polar_decompose,
     principal_log_spd,
@@ -313,6 +315,13 @@ class TestCauchyStress:
     def test_rejects_nonpositive_det(self):
         with pytest.raises(NonPositiveDeterminantError):
             cauchy_stress(np.eye(2), np.diag([1.0, -1.0]))
+
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_rejects_condition_numbers_above_the_limit(self, n):
+        # log det F comes from the stretch spectrum, whose checks apply
+        F = np.diag([1.0] * (n - 1) + [0.5 / COND_LIMIT])
+        with pytest.raises(SingularMatrixError):
+            cauchy_stress(np.eye(n), F)
 
     @pytest.mark.filterwarnings("error")
     def test_det_outside_the_double_range(self):

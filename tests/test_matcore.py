@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 import scipy.linalg as sla
 
+import geolog.matcore as matcore
 from geolog.matcore import (
     AngleAtPiError,
     MetricParams,
@@ -38,6 +39,7 @@ from geolog.matcore import (
     weighted_inner,
     weighted_norm,
 )
+from geolog.strain import seth_hill
 
 PHI = (1.0 + math.sqrt(5.0)) / 2.0
 F_SHEAR = np.array([[1.0, 1.0], [0.0, 1.0]])
@@ -290,22 +292,52 @@ def linalg_calls(monkeypatch):
     return calls
 
 
+@pytest.fixture
+def planar_calls(monkeypatch):
+    """Count calls of the 2x2 spectrum kernel, starting from an empty memo."""
+    calls = []
+    real = matcore._planar_svd
+
+    def counted(*entries):
+        calls.append(entries)
+        return real(*entries)
+
+    monkeypatch.setattr(matcore, "_planar_svd", counted)
+    _spectrum_of.cache_clear()
+    return calls
+
+
 class TestSpectrumMemo:
     F = np.array([[1.5, 0.4], [-0.2, 0.8]])
+    F3 = np.array([[1.5, 0.4, 0.1], [-0.2, 0.8, 0.3], [0.2, -0.1, 1.1]])
 
     def test_a_hit_makes_no_svd_or_slogdet_call(self, linalg_calls):
-        first = stretch_spectrum(self.F)
+        first = stretch_spectrum(self.F3)
         assert linalg_calls == {"svd": 1, "slogdet": 1}
         # the key is the content, so an equal copy hits too
-        again = stretch_spectrum(self.F.copy())
+        again = stretch_spectrum(self.F3.copy())
         assert linalg_calls == {"svd": 1, "slogdet": 1}
         assert all(x is y for x, y in zip(first, again))
 
+    def test_2x2_hit_makes_no_kernel_call(self, planar_calls, linalg_calls):
+        first = stretch_spectrum(self.F)
+        assert len(planar_calls) == 1
+        again = stretch_spectrum(self.F.copy())
+        assert len(planar_calls) == 1
+        assert all(x is y for x, y in zip(first, again))
+        assert linalg_calls == {"svd": 0, "slogdet": 0}
+
     def test_is_the_svd_of_F_bit_for_bit(self):
         _spectrum_of.cache_clear()
-        A, s, B = stretch_spectrum(self.F)
-        A0, s0, Bt0 = np.linalg.svd(self.F)
+        A, s, B = stretch_spectrum(self.F3)
+        A0, s0, Bt0 = np.linalg.svd(self.F3)
         assert np.array_equal(A, A0) and np.array_equal(s, s0) and np.array_equal(B, Bt0.T)
+
+    def test_2x2_is_the_kernel_of_F_bit_for_bit(self, planar_calls):
+        A, s, B = stretch_spectrum(self.F)
+        assert planar_calls == [tuple(self.F.ravel().tolist())]
+        A0, s0, B0 = matcore._planar_svd(*self.F.ravel().tolist())
+        assert np.array_equal(A, A0) and np.array_equal(s, s0) and np.array_equal(B, B0)
 
     def test_returned_arrays_are_read_only(self):
         for X in stretch_spectrum(self.F):
@@ -314,19 +346,35 @@ class TestSpectrumMemo:
                 X[(0,) * X.ndim] = 0.0
 
     def test_F_changed_in_place_is_decomposed_again(self, linalg_calls):
-        F = self.F.copy()
+        F = self.F3.copy()
         before = stretch_spectrum(F)[1].copy()
         F[0, 0] = 3.0
         after = stretch_spectrum(F)[1]
         assert linalg_calls["svd"] == 2
-        assert np.array_equal(after, np.linalg.svd(F, compute_uv=False))
+        # the full SVD's s: at 3x3 the values-only route may differ in the last bit
+        assert np.array_equal(after, np.linalg.svd(F)[1])
+        assert not np.array_equal(after, before)
+
+    def test_2x2_F_changed_in_place_is_decomposed_again(self, planar_calls):
+        F = self.F.copy()
+        before = stretch_spectrum(F)[1].copy()
+        F[0, 0] = 3.0
+        after = stretch_spectrum(F)[1]
+        assert len(planar_calls) == 2
+        assert np.array_equal(after, matcore._planar_svd(*F.ravel().tolist())[1])
         assert not np.array_equal(after, before)
 
     def test_negative_determinant_is_not_remembered(self, linalg_calls):
         for _ in range(2):
             with pytest.raises(NonPositiveDeterminantError):
-                stretch_spectrum(np.diag([1.0, -2.0]))
+                stretch_spectrum(np.diag([1.0, -2.0, 1.0]))
         assert linalg_calls == {"svd": 0, "slogdet": 2}
+
+    def test_2x2_negative_determinant_is_not_remembered(self, planar_calls):
+        for _ in range(2):
+            with pytest.raises(NonPositiveDeterminantError):
+                stretch_spectrum(np.diag([1.0, -2.0]))
+        assert len(planar_calls) == 2
 
     def test_non_finite_F_raises_right_after_a_valid_call(self):
         stretch_spectrum(self.F)
@@ -341,8 +389,14 @@ class TestSpectrumMemo:
     def test_ill_conditioned_F_is_not_remembered(self, linalg_calls):
         for _ in range(2):
             with pytest.raises(SingularMatrixError):
-                stretch_spectrum(np.diag([1.0, 1e-15]))
+                stretch_spectrum(np.diag([1.0, 1.0, 1e-15]))
         assert linalg_calls["svd"] == 2
+
+    def test_2x2_ill_conditioned_F_is_not_remembered(self, planar_calls):
+        for _ in range(2):
+            with pytest.raises(SingularMatrixError):
+                stretch_spectrum(np.diag([1.0, 1e-15]))
+        assert len(planar_calls) == 2
 
     @pytest.mark.parametrize("shape", [(4,), (1, 4)])
     def test_shape_is_part_of_the_key(self, shape):
@@ -359,6 +413,131 @@ class TestSpectrumMemo:
             _spectrum_of.cache_clear()
             from_copy = stretch_spectrum(np.ascontiguousarray(view))
             assert all(np.array_equal(x, y) for x, y in zip(from_view, from_copy))
+
+
+EPS = float(np.finfo(float).eps)
+
+
+def _gl_plus_draws(count, seed):
+    """2x2 draws with entries uniform in [-2, 2] and det in [0.1, 10]."""
+    rng = np.random.default_rng(seed)
+    draws = []
+    while len(draws) < count:
+        F = rng.uniform(-2.0, 2.0, size=(2, 2))
+        if 0.1 <= np.linalg.det(F) <= 10.0:
+            draws.append(F)
+    return draws
+
+
+def _hard_planar(seed):
+    """c Q, diagonal, next to a rotation, condition number 1e13 to 1e13.9 and
+    1e+-200 times P diag(s) Q^T, under seeded rotations P, Q."""
+    rng = np.random.default_rng(seed)
+    out = []
+    for _ in range(40):
+        P, Q = rot2(rng.uniform(-math.pi, math.pi)), rot2(rng.uniform(-math.pi, math.pi))
+        s = rng.uniform(0.2, 5.0, size=2)
+        out += [
+            rng.uniform(0.1, 10.0) * Q,
+            np.diag(s),
+            Q + 1e-6 * rng.standard_normal((2, 2)),
+            P @ np.diag([s[0], s[0] * 10.0 ** -rng.uniform(13.0, 13.9)]) @ Q.T,
+            10.0 ** rng.choice([-200, 200]) * (P @ np.diag(s) @ Q.T),
+        ]
+    return out
+
+
+class TestPlanarKernels:
+    """The written-out 2x2 SVD and symmetric eigendecomposition against LAPACK."""
+
+    SVD_INPUTS = _gl_plus_draws(1000, 97) + _hard_planar(101)
+
+    def test_svd_matches_lapack(self):
+        for F in self.SVD_INPUTS:
+            A, s, B = matcore._planar_svd(*F.ravel().tolist())
+            s_ref = np.linalg.svd(F, compute_uv=False)
+            # each s_i to a few eps s_0 (the SVD backward error), so to eps cond
+            # relative for s_1
+            assert np.all(np.abs(s - s_ref) <= 8.0 * EPS * s_ref[0]), F.tolist()
+            assert np.max(np.abs(A @ (s[:, None] * B.T) - F)) <= 4.0 * EPS * s_ref[0], F.tolist()
+            for X in (A, B):
+                assert abs(np.linalg.det(X) - 1.0) <= 2.0 * EPS
+                assert np.max(np.abs(X.T @ X - np.eye(2))) <= 2.0 * EPS
+
+    def test_spectrum_takes_the_kernel_and_its_checks(self, planar_calls, linalg_calls):
+        spectra = [stretch_spectrum(F) for F in self.SVD_INPUTS[:50]]
+        assert len(planar_calls) == 50
+        assert linalg_calls == {"svd": 0, "slogdet": 0}
+        for F, spectrum in zip(self.SVD_INPUTS, spectra):
+            kernel = matcore._planar_svd(*F.ravel().tolist())
+            assert all(np.array_equal(x, y) for x, y in zip(spectrum, kernel))
+
+    @pytest.mark.parametrize(
+        "F,error,match",
+        [
+            ([[1.0, 0.0], [0.0, -2.0]], NonPositiveDeterminantError, "det F < 0"),
+            ([[1.0, 1.0], [1.0, 1.0]], NonPositiveDeterminantError, "det F = 0"),
+            ([[0.0, 0.0], [0.0, 0.0]], NonPositiveDeterminantError, "det F = 0"),
+            ([[1.0, 0.0], [0.0, 0.5e-14]], SingularMatrixError, "condition number"),
+            ([[1e200, 1e200], [1e200, 1.000000000000002e200]], SingularMatrixError, "condition number"),
+            ([[1.0, np.nan], [0.0, 1.0]], ValueError, "non-finite"),
+            ([[np.inf, 0.0], [0.0, 1.0]], ValueError, "non-finite"),
+        ],
+    )
+    def test_named_errors_are_not_remembered(self, planar_calls, F, error, match):
+        for _ in range(2):
+            with pytest.raises(error, match=match):
+                stretch_spectrum(np.array(F))
+        assert len(planar_calls) == 2
+        good = np.array([[1.5, 0.4], [-0.2, 0.8]])
+        assert np.array_equal(stretch_spectrum(good)[1], matcore._planar_svd(*good.ravel().tolist())[1])
+
+    @staticmethod
+    def _spd_inputs():
+        draws = [F @ F.T for F in _gl_plus_draws(1000, 103)]
+        rng = np.random.default_rng(107)
+        for _ in range(40):
+            Q = rot2(rng.uniform(-math.pi, math.pi))
+            w = rng.uniform(0.2, 5.0, size=2)
+            draws += [
+                rng.uniform(0.1, 10.0) * np.eye(2),
+                np.diag(w),
+                sym_part(np.eye(2) + 1e-6 * rng.standard_normal((2, 2))),
+                sym_part(Q @ np.diag([w[0], w[0] * 10.0 ** -rng.uniform(13.0, 13.9)]) @ Q.T),
+                10.0 ** rng.choice([-200, 200]) * sym_part(Q @ np.diag(w) @ Q.T),
+            ]
+        return draws
+
+    def test_eigh_matches_lapack(self):
+        for P in self._spd_inputs():
+            (a, b), (c, d) = P.tolist()
+            w, V = matcore._planar_eigh(a, (b + c) / 2.0, d)
+            w_ref = np.linalg.eigvalsh(P)
+            assert w[0] <= w[1]
+            assert np.all(np.abs(w - w_ref) <= 8.0 * EPS * w_ref[1]), P.tolist()
+            assert np.max(np.abs(V @ (w[:, None] * V.T) - P)) <= 4.0 * EPS * w_ref[1], P.tolist()
+            assert abs(np.linalg.det(V) - 1.0) <= 2.0 * EPS
+            assert np.max(np.abs(V.T @ V - np.eye(2))) <= 2.0 * EPS
+
+    def test_diagonal_spd_keeps_an_exact_frame(self):
+        for P in (np.diag([2.0, 5.0]), np.diag([5.0, 2.0]), 3.0 * np.eye(2)):
+            assert np.array_equal(principal_log_spd(P), np.diag(np.log(np.diag(P))))
+
+    @pytest.mark.parametrize(
+        "P",
+        [
+            [[1.0, 2.0], [2.0, 1.0]],  # indefinite
+            [[1.0, 1.0], [1.0, 1.0]],  # semidefinite
+            [[1.0, 0.0], [0.0, 0.0]],
+            [[-1.0, 0.0], [0.0, -2.0]],
+            [[0.0, 0.0], [0.0, 0.0]],
+            [[1e200, 0.0], [0.0, -1e-200]],
+        ],
+    )
+    def test_not_spd_is_named(self, P):
+        for spd_form in (principal_log_spd, sqrt_spd, lambda U: seth_hill(U, 0.5)):
+            with pytest.raises(NotSPDError, match="non-positive eigenvalue"):
+                spd_form(np.array(P))
 
 
 class TestSqrtSpd:

@@ -174,6 +174,17 @@ class TestGrioliOracle:
                 assert abs(v.oracle_value - closed) <= 1e-12 * max(1.0, closed)
                 assert v.stats["evaluations"] <= 2000
 
+    def test_search_near_a_rotation_stops_after_three_starts(self):
+        # there the misfit is below its roundoff 8 eps ||F|| times 1e12, so
+        # only the roundoff floor lets three descents agree
+        rng = substream(61, 1)
+        Q = _random_rotations(rng, 3, 1)[0]
+        nudge = rng.standard_normal((3, 3))
+        for F in (Q + 1e-6 / np.linalg.norm(nudge) * nudge, np.eye(3)):
+            v = grioli_oracle(F, self.CFG)
+            assert v.passed
+            assert v.stats["starts"] == 3, F.tolist()
+
     @pytest.mark.parametrize("plant", ["distance", "minimizer"])
     @pytest.mark.parametrize("n", [2, 3])
     def test_planted_wrong_closed_form_fails(self, monkeypatch, plant, n):
