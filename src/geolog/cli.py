@@ -32,7 +32,7 @@ from .matcore import (
     polar_decompose,
     principal_log_spd,
     mat_exp,
-    stretch_spectrum,
+    spectral_record,
     sym_part,
     deviatoric,
 )
@@ -392,19 +392,18 @@ def path_rows(mode: DeformationMode, model: MaterialModel) -> List[Tuple[float, 
 
 def measure_payload(F: np.ndarray, p: MetricParams) -> dict:
     """Every field from geodesy's closed forms and the polar factors, which
-    share one SVD F = A diag(s) B^T through the stretch-spectrum memo."""
-    _, s, B = stretch_spectrum(F)
+    share one spectral record of F through the stretch-spectrum memo."""
+    record = spectral_record(F)
     pol = polar_decompose(F)
     return {
         "omega_iso": omega_iso(F),
         "omega_vol": omega_vol(F),
         "dist_squared_geod": dist_squared_to_SO(F, p).squared_distance,
-        # ||s - 1|| itself: euclid_dist_to_SO's sqrt(d * d) may move the last bit
-        "dist_euclid": float(np.linalg.norm(s - 1.0)),
+        "dist_euclid": euclid_dist_to_SO(F).distance,
         "rotation": pol.rotation.tolist(),
         "right_stretch": pol.right_stretch.tolist(),
         "left_stretch": pol.left_stretch.tolist(),
-        "log_right_stretch": sym_part(B @ (np.log(s)[:, None] * B.T)).tolist(),
+        "log_right_stretch": record.right(record.logs).tolist(),
     }
 
 

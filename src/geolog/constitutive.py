@@ -13,8 +13,11 @@ and check the two rate identities that hold exactly for the Almansi strain
 and for coaxial logarithmic strain.
 
 Every energy, the Kirchhoff stress and the Cauchy conversion are scalar work
-on the singular values of one SVD of F (matcore.stretch_spectrum, written out
-for 2x2 F), the left frame carrying the stress.
+on one spectral record of F (matcore.spectral_record: one SVD, written out
+for 2x2 F, with its stretches and log-stretches as Python floats): the
+logarithmic energies and stresses read the log-stretches, the others the
+stretches, and the left frame carries the stress, A diag(tau_i) A^T, which
+for 2x2 F is written out and exactly symmetric.
 """
 
 from __future__ import annotations
@@ -28,6 +31,7 @@ import numpy as np
 from .matcore import (
     Mat,
     ParameterOutOfRangeError,
+    _square_array,
     as_square,
     gl_plus_log_det,
     log_invariants,
@@ -35,10 +39,10 @@ from .matcore import (
     quadratic_potential,
     require_gl_plus,
     skew_part,
-    stretch_spectrum,
+    spectral_record,
     sym_part,
 )
-from .strain import StrainTensor, scale_function
+from .strain import StrainTensor, principal_strains
 
 __all__ = [
     "MaterialModel",
@@ -163,9 +167,10 @@ def principal_kirchhoff(model: MaterialModel, logs: Sequence[float]) -> list[flo
 def energy(model: MaterialModel, F: Mat) -> float:
     """Strain energy density of the model at the deformation gradient F.
 
-    It reads the principal strains scale_function(r, s) of the singular values
-    s of F, r = 0 (log s) for both Hencky kinds, 1/2 for biot_linear and 1 for
-    svk; every kind but exp_hencky is their quadratic potential.
+    It reads the principal strains e_r(s) of the singular values s of F
+    (strain.scale_function): r = 0, the log-stretches of the spectral record,
+    for both Hencky kinds, 1/2 for biot_linear and 1 for svk; every kind but
+    exp_hencky is their quadratic potential.
 
     Raises
     ------
@@ -176,7 +181,9 @@ def energy(model: MaterialModel, F: Mat) -> float:
     OverflowError
         If the energy leaves the double range.
     """
-    e = scale_function(MODEL_KINDS[model.kind], stretch_spectrum(F)[1]).tolist()
+    record = spectral_record(F)
+    r = MODEL_KINDS[model.kind]
+    e = record.logs if r == 0.0 else principal_strains(r, record.stretches)
     try:
         if model.kind == "exp_hencky":
             value = energy_from_logs(model, e)
@@ -196,7 +203,8 @@ def kirchhoff_stress(model: MaterialModel, F: Mat) -> Mat:
     :func:`principal_kirchhoff` stresses of log s; for the quadratic energy
     this is tau = 2 mu dev_n log V + kappa tr(log V) id.  Taking log s from
     the SVD of F, not the log of F F^T, keeps the condition number of F from
-    being squared.
+    being squared.  log s and A come from the spectral record of F; for 2x2
+    F, A is a rotation and tau is written out, exactly symmetric.
 
     Raises
     ------
@@ -209,25 +217,36 @@ def kirchhoff_stress(model: MaterialModel, F: Mat) -> Mat:
     """
     if model.kind not in ("hencky", "exp_hencky"):
         raise UnsupportedModelError(f"kirchhoff_stress supports the logarithmic energies, not {model.kind!r}")
-    A, s, _ = stretch_spectrum(F)
-    tau = principal_kirchhoff(model, np.log(s).tolist())
-    if not all(math.isfinite(t + t) for t in tau):  # sym_part adds two copies of each
+    record = spectral_record(F)
+    try:
+        tau = principal_kirchhoff(model, record.logs)
+        # twice each finite, as sym_part of the n >= 3 assembly adds two
+        # copies; every n keeps that bound, under which the written-out n = 2
+        # form is finite too
+        finite = all(math.isfinite(t + t) for t in tau)
+    except OverflowError:  # math.exp of an exponentiated energy's gain
+        finite = False
+    if not finite:
         raise OverflowError("Kirchhoff stress overflows double precision")
-    return sym_part(A @ (np.array(tau)[:, None] * A.T))
+    return record.left(tau)
 
 
 def cauchy_stress(tau: Mat, F: Mat) -> Mat:
     """Cauchy stress from a Kirchhoff stress: sigma = tau / det F.
 
-    log det F is the sum of the log singular values from the
-    :func:`matcore.stretch_spectrum` of F, which the Kirchhoff stress of the
+    log det F is the sum of the log-stretches of the
+    :func:`matcore.spectral_record` of F, which the Kirchhoff stress of the
     same F has already paid for, and whose checks and errors apply.  1 / det F
     comes from log det F through math.exp, so it stays right where det F
-    itself under- or overflows (1e-150 id in 3D).  A stress that underflows
+    itself under- or overflows (1e-150 id in 3D).  The finiteness of tau and
+    the overflow of max |tau| / det F are checked in Python floats: each
+    entry's product rounds to at most that one's.  A stress that underflows
     is 0.
 
     Raises
     ------
+    ValueError
+        If tau is not square or has a non-finite entry.
     NonPositiveDeterminantError
         If det F <= 0.
     SingularMatrixError
@@ -235,13 +254,18 @@ def cauchy_stress(tau: Mat, F: Mat) -> Mat:
     OverflowError
         If 1 / det F or the stress leaves the double range.
     """
-    tau = as_square(tau, "tau")
-    log_det = sum(map(math.log, stretch_spectrum(F)[1].tolist()))
-    with np.errstate(over="ignore"):
-        sigma = tau * math.exp(-log_det)
-    if not np.isfinite(sigma).all():
+    tau = _square_array(tau, "tau")
+    entries = tau.ravel().tolist()
+    if not all(map(math.isfinite, entries)):
+        raise ValueError("tau has non-finite entries")
+    log_det = sum(spectral_record(F).logs)
+    try:
+        factor = math.exp(-log_det)
+    except OverflowError:  # 1 / det F is past the double range
+        factor = math.inf
+    if not math.isfinite(max(map(abs, entries)) * factor):
         raise OverflowError("Cauchy stress overflows double precision")
-    return sigma
+    return tau * factor
 
 
 def first_piola_fd(model: MaterialModel, F: Mat, h: "float | None" = None) -> Mat:

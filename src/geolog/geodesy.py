@@ -10,9 +10,10 @@ rotation group, geodesic distances on the rotation and conformal groups, and
 the trace-metric and Log-Euclidean distances on the positive definite cone).
 
 The closed forms only ever see the stretch spectrum, so every distance and
-measure of F here is scalar work on the log singular values from one SVD of
-F (matcore.stretch_spectrum), with the two matrix exponentials of the
-geodesic curve as the only transcendental matrix functions.
+measure of F here is scalar work on the log singular values of one record
+of F (matcore.spectral_record: one SVD, its log-stretches as floats and its
+polar rotation, each formed once per F), with the two matrix exponentials of
+the geodesic curve as the only transcendental matrix functions.
 """
 
 from __future__ import annotations
@@ -36,6 +37,7 @@ from .matcore import (
     require_gl_plus,
     skew_part,
     spd_function,
+    spectral_record,
     stretch_spectrum,
     sym_part,
     weighted_inner,
@@ -170,20 +172,20 @@ def dist_squared_to_SO(F: Mat, p: MetricParams) -> DistanceReport:
     NonPositiveDeterminantError
         If det F <= 0.
     """
-    A, s, B = stretch_spectrum(F)
-    value = quadratic_potential(p.mu, p.kappa, np.log(s).tolist())
-    return DistanceReport(squared_distance=value, minimizer=A @ B.T, method="closed_form")
+    record = spectral_record(F)
+    value = quadratic_potential(p.mu, p.kappa, record.logs)
+    return DistanceReport(squared_distance=value, minimizer=record.rotation.copy(), method="closed_form")
 
 
 def omega_iso(F: Mat) -> float:
     """Isochoric logarithmic strain measure ||dev_n log U||."""
-    iso2, _ = log_invariants(np.log(stretch_spectrum(F)[1]).tolist())
+    iso2, _ = log_invariants(spectral_record(F).logs)
     return math.sqrt(iso2)
 
 
 def omega_vol(F: Mat) -> float:
     """Volumetric logarithmic strain measure |tr log U|, equal to |ln det F|."""
-    _, tr = log_invariants(np.log(stretch_spectrum(F)[1]).tolist())
+    _, tr = log_invariants(spectral_record(F).logs)
     return abs(tr)
 
 
@@ -204,19 +206,19 @@ def dist_cof_squared_to_SO(F: Mat, p: MetricParams) -> float:
     flips the deviatoric part of the logarithm (leaving its norm unchanged)
     and scales the trace by n - 1.
     """
-    _, s, _ = stretch_spectrum(F)
-    return quadratic_potential(p.mu, p.kappa * (s.size - 1) ** 2, np.log(s).tolist())
+    logs = spectral_record(F).logs
+    return quadratic_potential(p.mu, p.kappa * (len(logs) - 1) ** 2, logs)
 
 
 def euclid_dist_to_SO(F: Mat) -> DistanceReport:
     """Euclidean (Frobenius) distance from F to the rotation group.
 
-    The minimum of ||F - Q|| over rotations Q is ||U - id||, attained at the
-    polar rotation.
+    The minimum of ||F - Q|| over rotations Q is ||U - id||, the root of the
+    sum of (s_i - 1)^2, attained at the polar rotation.
     """
-    A, s, B = stretch_spectrum(F)
-    d = float(np.linalg.norm(s - 1.0))
-    return DistanceReport(squared_distance=d * d, minimizer=A @ B.T, method="closed_form")
+    record = spectral_record(F)
+    d2 = sum([(x - 1.0) * (x - 1.0) for x in record.stretches])
+    return DistanceReport(squared_distance=d2, minimizer=record.rotation.copy(), method="closed_form")
 
 
 def dist_SO(Q: Mat, R: Mat) -> float:

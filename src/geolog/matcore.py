@@ -8,10 +8,17 @@ built on it, one quadratic potential of principal strains, and principal
 matrix functions on the classes that occur in elasticity (symmetric positive
 definite matrices, rotations, and general square matrices for exp).
 
-For n = 2 the SVD of F and the eigendecomposition of an SPD matrix are
-written out in closed form (:func:`_planar_svd`, :func:`_planar_eigh`), so
-the planar closed forms cost about their arithmetic; larger matrices go
-through LAPACK.  Both routes apply the same checks and raise the same errors.
+The stretch spectrum is kept as one record per F (:class:`SpectralRecord`,
+the one entry of the memo behind :func:`spectral_record`): the SVD
+F = A diag(s) B^T, the stretches s and log-stretches log s as Python floats,
+and the polar rotation A B^T, each formed once per F however many closed
+forms read them.  For n = 2 the SVD of F and the eigendecomposition of an
+SPD matrix are written out in closed form (:func:`_planar_svd`,
+:func:`_planar_eigh`), and so are the tensors R diag(x, y) R^T in the
+record's rotation frames (:func:`_frame_diag`: the polar stretches and the
+Kirchhoff stress), exactly symmetric; larger matrices go through LAPACK,
+matmul and :func:`sym_part`, as do the SPD functions of every n.  Both
+routes apply the same checks and raise the same errors.
 
 All functions are pure and operate on ``numpy.ndarray`` values of shape
 ``(n, n)``.  Comparisons are made relative to ``n`` times the max-entry
@@ -55,11 +62,17 @@ class ParameterOutOfRangeError(ValueError):
     """A material, metric or oracle parameter violates its admissible range."""
 
 
-def as_square(X: "Mat | list", name: str = "matrix") -> Mat:
-    """Coerce to a square float array and validate finiteness."""
+def _square_array(X: "Mat | list", name: str = "matrix") -> Mat:
+    """Coerce to a square float array, without checking its entries."""
     A = np.asarray(X, dtype=float)
     if A.ndim != 2 or A.shape[0] != A.shape[1]:
         raise ValueError(f"{name} must be square, got shape {A.shape}")
+    return A
+
+
+def as_square(X: "Mat | list", name: str = "matrix") -> Mat:
+    """Coerce to a square float array and validate finiteness."""
+    A = _square_array(X, name)
     if not np.isfinite(A).all():
         raise ValueError(f"{name} has non-finite entries")
     return A
@@ -96,7 +109,10 @@ def _tol(rel: float, *mats: Mat) -> float:
 
 
 def sym_part(X: Mat) -> Mat:
-    return (X + X.T) / 2.0
+    """(X + X^T) / 2, halved before the sum so entries near the double range
+    do not overflow; the same bits as (X + X^T) / 2 for normal entries."""
+    half = X * 0.5
+    return half + half.T
 
 
 def skew_part(X: Mat) -> Mat:
@@ -115,9 +131,10 @@ def is_symmetric(X: Mat, tol: float = 1e-10) -> bool:
 
 def _symmetric(X: Mat, tol: float) -> bool:
     """is_symmetric of an array as_square already returned; an exact match
-    skips the tolerance."""
-    gap = float(abs(X - X.T).max())
-    return gap == 0.0 or gap <= _tol(tol, X)
+    returns at once, comparing bytes, before any array arithmetic."""
+    if X.tobytes() == X.T.tobytes():
+        return True
+    return float(abs(X - X.T).max()) <= _tol(tol, X)
 
 
 def is_skew(X: Mat, tol: float = 1e-10) -> bool:
@@ -225,23 +242,62 @@ def weighted_norm(X: Mat, p: MetricParams) -> float:
     return math.sqrt(max(weighted_inner(X, X, p), 0.0))
 
 
-def stretch_spectrum(F: Mat) -> tuple[Mat, np.ndarray, Mat]:
-    """SVD F = A diag(s) B^T of an orientation-preserving invertible matrix.
+class SpectralRecord:
+    """The stretch spectrum of one F, as every closed form of F reads it.
+
+    ``A``, ``s``, ``B`` are the SVD F = A diag(s) B^T as read-only arrays;
+    ``stretches`` and ``logs`` are s and log s as Python floats (log s from
+    one ``np.log`` call).  The polar rotation A B^T is formed on first use
+    and kept, read-only (:attr:`rotation`).  :meth:`left` and :meth:`right`
+    give A diag(x) A^T and B diag(x) B^T as fresh arrays; for n = 2, where A
+    and B are rotations, they are written out (:func:`_frame_diag`).
+    """
+
+    __slots__ = ("A", "s", "B", "stretches", "logs", "_rotation")
+
+    def __init__(self, A: Mat, s: np.ndarray, B: Mat, stretches: list) -> None:
+        self.A, self.s, self.B, self.stretches = A, s, B, stretches
+        self.logs = np.log(s).tolist()
+        self._rotation = None
+
+    @property
+    def rotation(self) -> Mat:
+        """The polar rotation A B^T (read-only), formed once per F."""
+        if self._rotation is None:
+            R = np.matmul(self.A, self.B.T)
+            R.setflags(write=False)
+            self._rotation = R
+        return self._rotation
+
+    def left(self, x: Sequence[float]) -> Mat:
+        """A diag(x) A^T, a fresh symmetric array."""
+        return _frame_diag(self.A, x)
+
+    def right(self, x: Sequence[float]) -> Mat:
+        """B diag(x) B^T, a fresh symmetric array."""
+        return _frame_diag(self.B, x)
+
+
+def spectral_record(F: Mat) -> SpectralRecord:
+    """The :class:`SpectralRecord` of an orientation-preserving invertible F.
 
     Every isotropic closed form of F in the package is scalar work on the
-    singular values s in one of these frames: A B^T is the polar rotation,
-    U = B diag(s) B^T and V = A diag(s) A^T are the stretches.  With
-    det F > 0 and the condition number bounded, det(A B^T) = +1, so A B^T is
-    a rotation.
+    singular values s in one of the frames of F = A diag(s) B^T: A B^T is the
+    polar rotation, U = B diag(s) B^T and V = A diag(s) A^T are the
+    stretches.  With det F > 0 and the condition number bounded,
+    det(A B^T) = +1, so A B^T is a rotation.
 
     A 2x2 F has its spectrum written out (:func:`_planar_svd`), with A and B
-    rotations; larger F go through LAPACK.  Both routes apply the same
-    checks and raise the same errors.
+    rotations, and so are the tensors in its frames (:meth:`SpectralRecord.left`,
+    :meth:`SpectralRecord.right`); larger F go through LAPACK, matmul and
+    :func:`sym_part`.  Both routes apply the same checks and raise the same
+    errors.
 
-    The spectrum of the last F is remembered, keyed on its shape and bytes,
-    so the closed forms evaluated one after another on one F share one SVD.
-    A, s and B are therefore read-only; an F changed in place, or any other
-    F, is decomposed afresh and checked again.  Errors are never remembered.
+    The record of the last F is remembered, keyed on its shape and bytes, so
+    the closed forms evaluated one after another on one F share one SVD, one
+    ``np.log`` of s and one product A B^T.  Its arrays are therefore
+    read-only; an F changed in place, or any other F, is decomposed afresh
+    and checked again.  Errors are never remembered.
 
     Raises
     ------
@@ -254,13 +310,23 @@ def stretch_spectrum(F: Mat) -> tuple[Mat, np.ndarray, Mat]:
     return _spectrum_of(F.tobytes(), F.shape)
 
 
+def stretch_spectrum(F: Mat) -> tuple[Mat, np.ndarray, Mat]:
+    """SVD F = A diag(s) B^T of an orientation-preserving invertible matrix:
+    the read-only arrays A, s, B of its :func:`spectral_record`, whose checks,
+    errors and memo apply.  The record also carries s and log s as floats,
+    the polar rotation A B^T and the tensors A diag(x) A^T, B diag(x) B^T,
+    written out for n = 2."""
+    record = spectral_record(F)
+    return record.A, record.s, record.B
+
+
 _FOUR_DOUBLES = struct.Struct("4d")  # the bytes of a 2x2 float array
 
 
 # One entry: the closed forms of one F run back to back, and a longer memory
 # would serve repeats of earlier inputs from a table.
 @lru_cache(maxsize=1)
-def _spectrum_of(key: bytes, shape: tuple[int, ...]) -> tuple[Mat, np.ndarray, Mat]:
+def _spectrum_of(key: bytes, shape: tuple[int, ...]) -> SpectralRecord:
     if shape == (2, 2):
         A, s, B = _planar_svd(*_FOUR_DOUBLES.unpack(key))
     else:
@@ -272,7 +338,7 @@ def _spectrum_of(key: bytes, shape: tuple[int, ...]) -> tuple[Mat, np.ndarray, M
     hi, lo = values[0], values[-1]
     if lo <= 0.0 or hi / lo > COND_LIMIT:
         raise SingularMatrixError(f"condition number {hi / max(lo, 1e-300):.3e} exceeds {COND_LIMIT:g}")
-    return A, s, B
+    return SpectralRecord(A, s, B, values)
 
 
 def _planar_svd(a: float, b: float, c: float, d: float) -> tuple[Mat, np.ndarray, Mat]:
@@ -332,15 +398,17 @@ def quadratic_potential(mu: float, kappa: float, e: Sequence[float]) -> float:
 def polar_decompose(F: Mat) -> PolarDecomposition:
     """Polar factors of an orientation-preserving invertible matrix.
 
-    Returns rotation R = A B^T, right stretch U = sqrt(F^T F) and left
-    stretch V = sqrt(F F^T), satisfying F = R U = V R, from the
-    :func:`stretch_spectrum` of F, whose checks and errors apply.
+    Returns rotation R = A B^T, right stretch U = sqrt(F^T F) = B diag(s) B^T
+    and left stretch V = sqrt(F F^T) = A diag(s) A^T, satisfying
+    F = R U = V R, as fresh arrays from the :func:`spectral_record` of F,
+    whose checks and errors apply.
     """
-    A, s, B = stretch_spectrum(F)
-    R = A @ B.T
-    U = B @ (s[:, None] * B.T)
-    V = A @ (s[:, None] * A.T)
-    return PolarDecomposition(rotation=R, right_stretch=sym_part(U), left_stretch=sym_part(V))
+    record = spectral_record(F)
+    return PolarDecomposition(
+        rotation=record.rotation.copy(),
+        right_stretch=record.right(record.stretches),
+        left_stretch=record.left(record.stretches),
+    )
 
 
 def _assert_spd(P: Mat, name: str) -> tuple[np.ndarray, np.ndarray]:
@@ -383,8 +451,30 @@ def _planar_eigh(a: float, h: float, d: float) -> tuple[np.ndarray, Mat]:
     return w, np.array([[c, -s], [s, c]])
 
 
+def _frame_diag(V: Mat, x: Sequence[float]) -> Mat:
+    """V diag(x) V^T as a fresh array, for a frame V of a spectral record.
+
+    A 2x2 V is a rotation [[c, -s], [s, c]] (the planar kernels give no
+    other), and the product is written out: [[x0 c^2 + x1 s^2,
+    (x0 - x1) c s], [(x0 - x1) c s, x0 s^2 + x1 c^2]], exactly symmetric.
+    Larger V take matmul and :func:`sym_part`.
+    """
+    if V.shape != (2, 2):
+        return sym_part(V @ (np.asarray(x)[:, None] * V.T))
+    (c, _), (s, _) = V.tolist()
+    x0, x1 = x
+    cc, ss, off = c * c, s * s, (x0 - x1) * c * s
+    return np.array(((x0 * cc + x1 * ss, off), (off, x0 * ss + x1 * cc)))
+
+
 def spd_function(P: Mat, f, name: str = "P") -> Mat:
-    """Apply a scalar function to an SPD matrix through its eigendecomposition."""
+    """Apply a scalar function to an SPD matrix through its eigendecomposition.
+
+    The product V diag(f(w)) V^T is matmul and :func:`sym_part` for every n,
+    also after the written-out 2x2 eigendecomposition: BLAS rounds a 2x2
+    product with fused multiply-adds, which Python floats cannot repeat, so
+    a written-out product would move the last bits of every SPD function.
+    """
     w, V = _assert_spd(P, name)
     return sym_part(V @ (f(w)[:, None] * V.T))
 

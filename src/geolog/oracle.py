@@ -54,7 +54,7 @@ from .matcore import (
     ParameterOutOfRangeError,
     as_square,
     polar_decompose,
-    stretch_spectrum,
+    spectral_record,
 )
 from .geodesy import dist_squared_to_SO, euclid_dist_to_SO
 
@@ -890,7 +890,7 @@ def _run_path_search(
 def _path_activity(F: np.ndarray, theta_span: float) -> float:
     """Per-unit-arc variation scale of a rotation-to-F path: the largest
     principal log stretch plus the rotation angle it has to sweep."""
-    d_max = float(np.max(np.abs(np.log(stretch_spectrum(F)[1]))))
+    d_max = max(map(abs, spectral_record(F).logs))
     return math.sqrt(d_max * d_max + theta_span * theta_span)
 
 

@@ -13,7 +13,9 @@ scale function e_r(lambda) = (lambda^{2r} - 1) / (2r) on the eigenvalues.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
@@ -61,14 +63,40 @@ class StrainTensor:
 
 
 def scale_function(r: float, lam: "float | np.ndarray") -> "float | np.ndarray":
-    """Scalar generator e_r(lambda) of the strain family, with e_0 = ln; inf past the double range."""
+    """Scalar generator e_r(lambda) of the strain family, with e_0 = ln; inf past
+    the double range (r != 0 by :func:`principal_strains`)."""
     lam = np.asarray(lam, dtype=float)
     if r == 0.0:
         out = np.log(lam)
     else:
-        with np.errstate(over="ignore"):
-            out = (lam ** (2.0 * r) - 1.0) / (2.0 * r)
+        out = np.array(principal_strains(r, lam.ravel().tolist())).reshape(lam.shape)
     return float(out) if out.ndim == 0 else out
+
+
+def principal_strains(r: float, stretches: Sequence[float]) -> list[float]:
+    """e_r(lambda) = (lambda^{2r} - 1) / (2r) of each stretch for r != 0, in
+    Python floats; inf where lambda^{2r} passes the double range.
+
+    lambda^2 is lambda * lambda, as numpy squares, and other powers come from
+    math.pow.
+
+    Raises
+    ------
+    ValueError
+        Where lambda^{2r} is not a real number (lambda < 0 with 2r not an
+        integer, or lambda = 0 with r < 0).
+    """
+    p = 2.0 * r
+    out = []
+    for lam in stretches:
+        try:
+            power = lam * lam if p == 2.0 else math.pow(lam, p)
+        except OverflowError:
+            power = math.inf
+        except ValueError:
+            raise ValueError(f"e_r with r = {r:g} is undefined at lambda = {lam!r}") from None
+        out.append((power - 1.0) / p)
+    return out
 
 
 def seth_hill(U: Mat, r: float, kind: str = "material") -> StrainTensor:

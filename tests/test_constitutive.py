@@ -247,6 +247,15 @@ class TestKirchhoffStress:
         with pytest.raises(UnsupportedModelError):
             kirchhoff_stress(SVK, np.eye(3))
 
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_exponent_past_the_double_range_is_named(self, n):
+        # k ||dev log U||^2 = 4 * 2 * 12^2 (n = 2): exp of it overflows before
+        # any stress is formed
+        model = MaterialModel(kind="exp_hencky", mu=1.0, kappa=1.0, k=4.0, khat=0.5)
+        F = np.diag([math.exp(12.0), math.exp(-12.0), 1.0][:n])
+        with pytest.raises(OverflowError, match="^Kirchhoff stress overflows double precision$"):
+            kirchhoff_stress(model, F)
+
     def test_linearity_in_log_stretch(self):
         # replacing V by V^2 doubles log V, and the quadratic energy's stress
         # is exactly linear in log V
@@ -331,6 +340,29 @@ class TestCauchyStress:
             cauchy_stress(tau, 1e-150 * np.eye(3))
         assert np.array_equal(cauchy_stress(tau, 1e150 * np.eye(3)), np.zeros((3, 3)))
         assert cauchy_stress(tau[:2, :2], 1e-150 * np.eye(2)) == pytest.approx(1e300 * tau[:2, :2], rel=1e-12)
+
+
+    @pytest.mark.filterwarnings("error")
+    def test_overflow_is_named(self):
+        # 1 / det F = 1e360 leaves the double range; then a finite 1 / det F
+        # whose product with max |tau| does
+        for tau, F in ((np.eye(3), 1e-120 * np.eye(3)), (np.diag([1.0, -3e298]), 1e-5 * np.eye(2))):
+            with pytest.raises(OverflowError, match="^Cauchy stress overflows double precision$"):
+                cauchy_stress(tau, F)
+        edge = cauchy_stress(np.diag([1.0, -1e298]), 1e-5 * np.eye(2))
+        assert edge[1, 1] == pytest.approx(-1e308, rel=1e-14)
+
+    @pytest.mark.parametrize(
+        "tau,match",
+        [
+            (np.diag([1.0, np.nan]), "^tau has non-finite entries$"),
+            (np.diag([np.inf, 1.0]), "^tau has non-finite entries$"),
+            (np.ones((2, 3)), r"^tau must be square, got shape \(2, 3\)$"),
+        ],
+    )
+    def test_bad_tau_is_named(self, tau, match):
+        with pytest.raises(ValueError, match=match):
+            cauchy_stress(tau, np.eye(tau.shape[0]))
 
 
 class TestFirstPiola:

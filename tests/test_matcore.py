@@ -39,6 +39,8 @@ from geolog.matcore import (
     weighted_inner,
     weighted_norm,
 )
+from geolog.constitutive import MaterialModel, cauchy_stress, energy, kirchhoff_stress, principal_kirchhoff
+from geolog.geodesy import dist_cof_squared_to_SO, dist_squared_to_SO, euclid_dist_to_SO, omega_iso, omega_vol
 from geolog.strain import seth_hill
 
 PHI = (1.0 + math.sqrt(5.0)) / 2.0
@@ -398,6 +400,51 @@ class TestSpectrumMemo:
                 stretch_spectrum(np.diag([1.0, 1e-15]))
         assert len(planar_calls) == 2
 
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_logs_and_rotation_are_formed_once_per_F(self, monkeypatch, n):
+        # every closed form of one F reads log s and A B^T from its record: one
+        # np.log and one np.matmul call (the n >= 3 tensors use the @ operator)
+        calls = {"log": 0, "matmul": 0}
+
+        def counting(name):
+            real = getattr(np, name)
+
+            def counted(*args, **kwargs):
+                calls[name] += 1
+                return real(*args, **kwargs)
+
+            return counted
+
+        for name in calls:
+            monkeypatch.setattr(np, name, counting(name))
+        _spectrum_of.cache_clear()
+        F = self.F if n == 2 else self.F3
+        p = MetricParams(mu=2.0, mu_c=1.0, kappa=0.5)
+        hencky = MaterialModel(kind="hencky", mu=0.5, kappa=1.5)
+        exp_hencky = MaterialModel(kind="exp_hencky", mu=0.5, kappa=1.5, k=0.8, khat=0.3)
+        rotations = []
+        for _ in range(2):
+            rotations += [
+                dist_squared_to_SO(F, p).minimizer,
+                euclid_dist_to_SO(F).minimizer,
+                polar_decompose(F).rotation,
+            ]
+            omega_iso(F), omega_vol(F), dist_cof_squared_to_SO(F, p)
+            for model in (hencky, exp_hencky):
+                energy(model, F)
+                cauchy_stress(kirchhoff_stress(model, F), F)
+        assert calls == {"log": 1, "matmul": 1}
+        assert stretch_spectrum(F)[0] is matcore.spectral_record(F).A
+        # each caller gets a fresh, writable copy of the one remembered rotation
+        remembered = matcore.spectral_record(F).rotation
+        assert not remembered.flags.writeable
+        for R in rotations:
+            assert R is not remembered and R.flags.writeable
+            assert np.array_equal(R, remembered)
+        rotations[0][0, 0] = 7.0
+        assert np.array_equal(polar_decompose(F).rotation, remembered)
+        assert calls == {"log": 1, "matmul": 1}
+
     @pytest.mark.parametrize("shape", [(4,), (1, 4)])
     def test_shape_is_part_of_the_key(self, shape):
         stretch_spectrum(self.F)
@@ -538,6 +585,65 @@ class TestPlanarKernels:
         for spd_form in (principal_log_spd, sqrt_spd, lambda U: seth_hill(U, 0.5)):
             with pytest.raises(NotSPDError, match="non-positive eigenvalue"):
                 spd_form(np.array(P))
+
+
+class TestPlanarAssembly:
+    """R diag(x, y) R^T written out for 2x2 rotation frames (the polar
+    stretches and the Kirchhoff stress) against matmul and sym_part in the
+    same frame, and the SPD functions on the planar eigenframe: a few eps of
+    max |x|, and exactly symmetric."""
+
+    MODELS = (
+        MaterialModel(kind="hencky", mu=0.5, kappa=1.5),
+        MaterialModel(kind="exp_hencky", mu=0.5, kappa=1.5, k=0.8, khat=0.3),
+    )
+
+    @staticmethod
+    def _assert_assembled(X, V, x):
+        assert np.array_equal(X, X.T)
+        reference = sym_part(V @ (np.asarray(x, dtype=float)[:, None] * V.T))
+        assert np.max(np.abs(X - reference)) <= 4.0 * EPS * max(abs(v) for v in x), (X, reference)
+
+    def test_polar_stretches(self):
+        for F in TestPlanarKernels.SVD_INPUTS:
+            A, s, B = stretch_spectrum(F)
+            pol = polar_decompose(F)
+            self._assert_assembled(pol.right_stretch, B, s)
+            self._assert_assembled(pol.left_stretch, A, s)
+            assert pol.right_stretch.flags.writeable and pol.left_stretch.flags.writeable
+
+    def test_kirchhoff_stresses(self):
+        overflows = 0
+        for F in TestPlanarKernels.SVD_INPUTS:
+            A, s, _ = stretch_spectrum(F)
+            for model in self.MODELS:
+                try:
+                    tau = principal_kirchhoff(model, np.log(s).tolist())
+                    finite = all(math.isfinite(t + t) for t in tau)
+                except OverflowError:
+                    finite = False
+                if not finite:  # the exponentiated energy at 1e+-200 F
+                    overflows += 1
+                    with pytest.raises(OverflowError, match="^Kirchhoff stress overflows double precision$"):
+                        kirchhoff_stress(model, F)
+                    continue
+                self._assert_assembled(kirchhoff_stress(model, F), A, tau)
+        assert 0 < overflows < len(TestPlanarKernels.SVD_INPUTS)
+
+    def test_spd_functions(self):
+        for P in TestPlanarKernels._spd_inputs():
+            (a, b), (c, d) = P.tolist()
+            w, V = matcore._planar_eigh(a, (b + c) / 2.0, d)
+            self._assert_assembled(principal_log_spd(P), V, np.log(w))
+            self._assert_assembled(sqrt_spd(P), V, np.sqrt(w))
+
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_entries_near_the_double_range_do_not_overflow(self, n):
+        P = np.diag([1e308] + [1.0] * (n - 1))
+        expected = np.diag([math.log(1e308)] + [0.0] * (n - 1))
+        assert np.max(np.abs(principal_log_spd(P) - expected)) <= 4.0 * EPS * math.log(1e308)
+        X = np.full((n, n), 1.5e308)
+        assert np.array_equal(sym_part(X), X)
 
 
 class TestSqrtSpd:

@@ -10,9 +10,10 @@ The principal log of a rotation is checked against 50-digit references at
 hard angles: tiny, near pi, repeated over several planes, and distinct
 but all near pi.
 
-The squared distance, the two logarithmic measures and every energy are
-checked against 50-digit references at repeated singular values, singular
-values 1 +- 1e-8, condition numbers near matcore.COND_LIMIT and F scaled by
+The squared distance, the two logarithmic measures, every energy and the
+Kirchhoff and Cauchy stresses of the logarithmic energies are checked
+against 50-digit references at repeated singular values, singular values
+1 +- 1e-8, condition numbers near matcore.COND_LIMIT and F scaled by
 1e+-150; a value past the double range must raise OverflowError.
 """
 
@@ -344,6 +345,104 @@ def test_spectral_forms_match_50_digit_references_on_hard_inputs():
                     assert ref + tol > np.finfo(float).max, (name, kind, F.tolist())
                 else:
                     assert abs(value - ref) <= tol, (name, kind, F.tolist(), value, ref, tol)
+
+    check()
+
+
+def _principal_tau(mp, model, l):
+    """Principal Kirchhoff stresses of a logarithmic model at log-stretches l."""
+    t = mp.fsum(l)
+    dev = [x - t / len(l) for x in l]
+    gain_iso = gain_vol = 1
+    if model.kind == "exp_hencky":
+        gain_iso = mp.exp(model.k * mp.fsum(d * d for d in dev))
+        gain_vol = mp.exp(model.khat * t * t)
+    return [2 * model.mu * gain_iso * d + model.kappa * gain_vol * t for d in dev]
+
+
+# name: (stress of F, its principal values from the log-stretches l at working precision)
+STRESS_FORMS = {
+    "kirchhoff.hencky": (
+        lambda F: kirchhoff_stress(HENCKY, F),
+        lambda mp, l: _principal_tau(mp, HENCKY, l),
+    ),
+    "kirchhoff.exp_hencky": (
+        lambda F: kirchhoff_stress(EXP_HENCKY, F),
+        lambda mp, l: _principal_tau(mp, EXP_HENCKY, l),
+    ),
+    "cauchy.hencky": (
+        lambda F: cauchy_stress(kirchhoff_stress(HENCKY, F), F),
+        lambda mp, l: [x * mp.exp(-mp.fsum(l)) for x in _principal_tau(mp, HENCKY, l)],
+    ),
+    "cauchy.exp_hencky": (
+        lambda F: cauchy_stress(kirchhoff_stress(EXP_HENCKY, F), F),
+        lambda mp, l: [x * mp.exp(-mp.fsum(l)) for x in _principal_tau(mp, EXP_HENCKY, l)],
+    ),
+}
+
+
+def _stress_reference(mp, principal_of, s, P):
+    """The 50-digit stress P diag(g(s)) P^T of F = P diag(s) Q^T, with g the
+    principal values of a STRESS_FORMS entry, and its tolerance on every
+    entry, from the backward error of the SVD that the stress is computed
+    from: F + E = A' diag(s') B'^T with ||E|| <= 8 eps s_0.
+
+    - In s: each log s_i moves by delta_i = 8 eps s_0 / s_i + 4 eps
+      max_j |log s_j|, either way, as in _reference; the tensor moves by the
+      largest change of a principal value, summed over i.
+    - In the frame: E turns the left frame in the plane of i and j by up to
+      8 eps s_0 / |s_i - s_j| (Wedin's bound), which moves P diag(g) P^T
+      by that angle times |g_i - g_j|, summed over i < j.  Where s_i = s_j,
+      g_i = g_j and the turn moves nothing.
+    - 16 n eps max |g_i| covers the rounding of the principal values, the
+      assembly and the frame's orthogonality, and (1 + max |g|) 2^-1074 the
+      spacing of subnormal results, as where 1 / det F underflows."""
+    n = len(s)
+    l = [mp.log(x) for x in s]
+    g = principal_of(mp, l)
+    reach = 4 * EPS * max(abs(x) for x in l)
+    tol = 16 * n * EPS * max(abs(x) for x in g) + (1 + max(abs(x) for x in g)) * mp.mpf(2) ** -1074
+    for i in range(n):
+        delta = 8 * EPS * s[0] / s[i] + reach
+        moved = (principal_of(mp, l[:i] + [l[i] + sign * delta] + l[i + 1:]) for sign in (1, -1))
+        tol += max(abs(a - b) for m in moved for a, b in zip(m, g))
+        for j in range(i + 1, n):
+            if s[i] != s[j]:
+                tol += 8 * EPS * s[0] * abs(g[i] - g[j]) / abs(s[i] - s[j])
+    reference = P * mp.diag(g) * P.T
+    return reference, tol, max(abs(x) for x in g)
+
+
+def test_stresses_match_50_digit_references_on_hard_inputs():
+    pytest.importorskip("hypothesis")
+    mpmath = pytest.importorskip("mpmath")
+    from hypothesis import given, settings, strategies as st
+
+    unit = st.floats(0.0, 1.0)
+
+    @settings(derandomize=True, max_examples=100, deadline=None, database=None)
+    @given(
+        st.sampled_from(("repeated", "near_one", "ill_conditioned", "scaled")),
+        st.sampled_from((2, 3)),
+        st.lists(st.floats(-math.pi, math.pi), min_size=6, max_size=6),
+        unit, unit, unit,
+    )
+    def check(kind, n, angles, a, b, c):
+        F = _spectral_F(kind, n, angles, a, b, c)
+        with mpmath.workdps(50):
+            P, S, _ = mpmath.svd_r(mpmath.matrix(F.tolist()))
+            order = sorted(range(n), key=lambda i: -S[i])
+            s = [S[i] for i in order]
+            P = mpmath.matrix([[P[r, i] for i in order] for r in range(n)])
+            for name, (form, principal_of) in STRESS_FORMS.items():
+                ref, tol, top = _stress_reference(mpmath, principal_of, s, P)
+                try:
+                    value = form(F)
+                except OverflowError:  # twice a principal stress is past the range
+                    assert 2 * top + tol > np.finfo(float).max, (name, kind, F.tolist())
+                else:
+                    gap = max(abs(value[i, j] - ref[i, j]) for i in range(n) for j in range(n))
+                    assert gap <= tol, (name, kind, F.tolist(), gap, tol)
 
     check()
 

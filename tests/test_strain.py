@@ -11,6 +11,7 @@ from geolog.strain import (
     bazant_approx,
     hencky_tensor,
     linear_strain,
+    principal_strains,
     scale_function,
     scale_function_check,
     seth_hill,
@@ -209,6 +210,29 @@ class TestScaleFunction:
         lam = 1.8
         assert scale_function(0.0, lam) == pytest.approx(math.log(lam), abs=1e-15)
         assert scale_function(1e-7, lam) == pytest.approx(math.log(lam), abs=1e-6)
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("r", [0.5, 1.0, 2.3, -0.5, -1.0])
+    def test_past_the_double_range_is_inf(self, r):
+        lam = np.array([1e300, 2.0, 1e-300])
+        out = scale_function(r, lam)
+        assert out.shape == (3,)
+        # lambda^{2r} overflows at 1e300 for 2r >= 2 and at 1e-300 for 2r <= -2
+        assert (out[0] == math.inf) == (r >= 1.0) and (out[2] == -math.inf) == (r <= -1.0)
+        assert out[1] == pytest.approx((2.0 ** (2.0 * r) - 1.0) / (2.0 * r), rel=1e-15)
+
+    @pytest.mark.parametrize("r,lam", [(0.25, -1.0), (-0.5, 0.0)])
+    def test_undefined_power_is_named(self, r, lam):
+        with pytest.raises(ValueError, match=f"^e_r with r = {r:g} is undefined at lambda = {lam!r}$"):
+            scale_function(r, np.array([2.0, lam]))
+
+    @pytest.mark.parametrize("r", [0.5, 1.0])
+    def test_green_and_biot_strains_keep_numpy_bits(self, r):
+        # lambda^1 and lambda^2 round as numpy's power does (a copy, a square)
+        lam = np.random.default_rng(5).uniform(0.05, 20.0, 2000)
+        expected = (lam ** (2.0 * r) - 1.0) / (2.0 * r)
+        assert np.array_equal(scale_function(r, lam), expected)
+        assert principal_strains(r, lam.tolist()) == expected.tolist()
 
 
 class TestStrainTensorValidation:
