@@ -116,7 +116,8 @@ def sym_part(X: Mat) -> Mat:
 
 
 def skew_part(X: Mat) -> Mat:
-    return (X - X.T) / 2.0
+    half = X * 0.5  # halved first, as in sym_part
+    return half - half.T
 
 
 def deviatoric(X: Mat) -> Mat:

@@ -644,6 +644,8 @@ class TestPlanarAssembly:
         assert np.max(np.abs(principal_log_spd(P) - expected)) <= 4.0 * EPS * math.log(1e308)
         X = np.full((n, n), 1.5e308)
         assert np.array_equal(sym_part(X), X)
+        W = np.triu(X, 1) - np.tril(X, -1)
+        assert np.array_equal(skew_part(W), W)
 
 
 class TestSqrtSpd:
