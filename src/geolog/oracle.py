@@ -2,10 +2,11 @@
 
 Every engine in this module re-derives a minimum by direct search so the
 closed forms elsewhere in the package can be checked against something that
-does not share their code path: multi-start Newton descent on SO(2) and
-SO(3), discrete geodesics on GL+(2) (Newton's method on the discrete path
-energy of a matrix polyline, whose Hessian is block tridiagonal, judged by
-the polyline's length), and large-sample admissible-logarithm sweeps.
+does not share their code path: multi-start Newton descent on SO(3)
+(planar inputs embedded as diag(F, s)), discrete geodesics on GL+(2)
+(Newton's method on the discrete path energy of a matrix polyline, whose
+Hessian is block tridiagonal, judged by the polyline's length), and
+large-sample admissible-logarithm sweeps.
 
 All randomness is drawn from counter-derived Philox substreams, so a verdict
 is a pure function of the inputs and the config (bitwise, independent of how
@@ -29,8 +30,11 @@ the samples, from closed-form eigenvalues, on contiguous rows. The
 rotation draws are kept entry-major and remembered per seed, dimension and
 count, so checks of several F under one config draw them once, and
 logmin_oracle and weighted_logmin_oracle on one F and config share one
-sampling. The rotation search works in Python floats and takes its Newton
-steps from the product Q^T F that gives the misfit.
+sampling. The rotation search evaluates its misfits in Python floats and
+takes its Newton steps from the same 3x3 product Q^T F that gives the
+misfit. Its descents run from up to 20 fixed starts and stop once three
+of them end on the best rotation; for det F > 0 the first three did so on
+every acceptance draw checked, planar and spatial.
 """
 
 from __future__ import annotations
@@ -38,8 +42,7 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass, field
-from functools import lru_cache, reduce
-from operator import add, mul
+from functools import lru_cache
 from typing import Callable, Generator, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -68,7 +71,7 @@ __all__ = [
 
 _KEY_SALT = 0x9E3779B97F4A7C15
 _GAP_FLOOR = 1e-9
-Rows = Tuple[Tuple[float, ...], ...]  # a matrix as rows of Python floats
+Rows3 = Tuple[Tuple[float, float, float], ...]  # a 3x3 matrix as rows of Python floats
 
 
 @dataclass(frozen=True)
@@ -150,7 +153,7 @@ def _rot2(theta: float) -> np.ndarray:
     return np.array(_rot2_rows(theta))
 
 
-def _rot3_rows(w: Sequence[float]) -> Rows:
+def _rot3_rows(w: Sequence[float]) -> Rows3:
     """Rows of exp([w]_x) = id + a K + b K^2 in Python floats, K = [w]_x and
     K^2 = w w^T - theta^2 id (Rodrigues; series near zero)."""
     wx, wy, wz = float(w[0]), float(w[1]), float(w[2])
@@ -166,17 +169,7 @@ def _rot3_rows(w: Sequence[float]) -> Rows:
             (bx * wz - a * wy, by * wz + a * wx, c + bz * wz))
 
 
-def _misfit2(Q: Rows, F: Rows) -> Tuple[float, Rows]:
-    """(||Q^T F - id||, Q^T F) for 2x2 rows in Python floats."""
-    (q00, q01), (q10, q11) = Q
-    (f00, f01), (f10, f11) = F
-    M = ((q00 * f00 + q10 * f10, q00 * f01 + q10 * f11),
-         (q01 * f00 + q11 * f10, q01 * f01 + q11 * f11))
-    (m00, m01), (m10, m11) = M
-    return math.hypot(m00 - 1.0, m01, m10, m11 - 1.0), M
-
-
-def _misfit3(Q: Rows, F: Rows) -> Tuple[float, Rows]:
+def _misfit3(Q: Rows3, F: Rows3) -> Tuple[float, Rows3]:
     """(||Q^T F - id||, Q^T F) for 3x3 rows in Python floats, the norm entry
     by entry (the trace form ||F||^2 - 2 tr(Q^T F) + 3 cancels near a rotation)."""
     (q00, q01, q02), (q10, q11, q12), (q20, q21, q22) = Q
@@ -237,47 +230,6 @@ def _kronecker_ball_starts(count: int) -> Tuple[Tuple[float, float, float], ...]
     return tuple(starts)
 
 
-@lru_cache(maxsize=1)
-def _kronecker_circle_starts(count: int) -> Tuple[Tuple[float], ...]:
-    """The planar _kronecker_ball_starts: golden-ratio Kronecker angles on (-pi, pi]."""
-    return tuple((math.pi * (1.0 - 2.0 * ((0.5 + k * 0.6180339887498949) % 1.0)),)
-                 for k in range(1, count + 1))
-
-
-def _product2(P: Rows, E: Rows) -> Rows:
-    (p00, p01), (p10, p11) = P
-    (e00, e01), (e10, e11) = E
-    return ((p00 * e00 + p01 * e10, p00 * e01 + p01 * e11),
-            (p10 * e00 + p11 * e10, p10 * e01 + p11 * e11))
-
-
-def _product3(P: Rows, E: Rows) -> Rows:
-    (p00, p01, p02), (p10, p11, p12), (p20, p21, p22) = P
-    (e00, e01, e02), (e10, e11, e12), (e20, e21, e22) = E
-    return ((p00 * e00 + p01 * e10 + p02 * e20, p00 * e01 + p01 * e11 + p02 * e21,
-             p00 * e02 + p01 * e12 + p02 * e22),
-            (p10 * e00 + p11 * e10 + p12 * e20, p10 * e01 + p11 * e11 + p12 * e21,
-             p10 * e02 + p11 * e12 + p12 * e22),
-            (p20 * e00 + p21 * e10 + p22 * e20, p20 * e01 + p21 * e11 + p22 * e21,
-             p20 * e02 + p21 * e12 + p22 * e22))
-
-
-def _axial2(M: Rows) -> Tuple[Tuple[float], List[float]]:
-    (m00, m01), (m10, m11) = M
-    return (m10 - m01,), [m00 + m11]
-
-
-def _axial3(M: Rows) -> Tuple[Tuple[float, float, float], List[float]]:
-    (m00, m01, m02), (m10, m11, m12), (m20, m21, m22) = M
-    t = m00 + m11 + m22
-    return (m21 - m12, m02 - m20, m10 - m01), [
-        t - m00, -0.5 * (m01 + m10), t - m11, -0.5 * (m02 + m20), -0.5 * (m12 + m21), t - m22]
-
-
-def _spd_solve1(A: Sequence[float], b: Sequence[float]) -> Optional[Tuple[float]]:
-    return (b[0] / A[0],) if A[0] > 0.0 else None
-
-
 def _spd_solve3(A: Sequence[float], b: Sequence[float]) -> Optional[Tuple[float, float, float]]:
     """x with A x = b for the symmetric 3x3 A packed as its lower triangle
     (a00, a10, a11, a20, a21, a22), by Cholesky written out; None when A is
@@ -304,49 +256,45 @@ def _spd_solve3(A: Sequence[float], b: Sequence[float]) -> Optional[Tuple[float,
 
 
 def _rotation_newton(
-    F: Rows, w0: Sequence[float], budget: int, noise: float
-) -> Tuple[Rows, float, int, int]:
-    """Newton descent of ||Q^T F - id|| over Q = exp(W_0) exp(D_1) ..., with
-    W_0 (coordinates w0) and the steps skew, for 2x2 or 3x3 rows F; returns
+    F: Rows3, w0: Sequence[float], budget: int, noise: float
+) -> Tuple[Rows3, float, int, int]:
+    """Newton descent of ||Q^T F - id|| over Q = exp([w0]_x) exp([d_1]_x) ...
+    for 3x3 rows F (grioli_oracle lifts a 2x2 F to diag(F, s)); returns
     (Q, misfit, evaluations, Newton steps).
 
-    A skew W has n(n-1)/2 coordinates: W = [[0, -w], [w, 0]] for n = 2,
-    W = [w]_x for n = 3. With M = Q^T F the squared misfit of Q exp(W) is
-    ||M||^2 - 2 tr(exp(-W) M) + n, with gradient -2a and Hessian 2A in w:
-    a = M10 - M01 and A = tr M for n = 2, a = (M21 - M12, M02 - M20, M10 -
-    M01) and A = tr M id - sym M for n = 3. These, the rotation rows, the
-    misfit and the solve are all that depends on n. A step solves
-    (A + tau id) d = a, with tau = 0 where A is positive definite and growing
-    from 1e-8 of its entries' sum until it is (Nocedal and Wright, Numerical
-    Optimization, 2nd ed., 3.4). Along a step s of length theta the squared
-    misfit changes by exactly -2 (sin theta / theta) a.s + 2 ((1 - cos theta)
-    / theta^2) s^T A s, and s^T A s <= a.s, so a step capped at length 2
-    lowers it by at least a fifth of the decrement a.s: the Armijo
-    backtracking on the misfit only guards against roundoff. Where A is
-    positive definite and |d| <= 1e-3 (the quadratic region) full steps are
-    taken untested, because the squared misfit phi cannot resolve steps
-    below about sqrt(eps phi / curvature), and a stop on the value would
-    leave the witness that far from the minimizer. The descent stops when
-    the decrement a.d reaches the roundoff `noise` of a along d, when inside
-    the quadratic region it no longer falls below a quarter of the previous
-    one, when no step of 2^-30 passes the Armijo test, or before the
-    evaluations, the start's included, would exceed budget. Every evaluation
-    builds one rotation with _rot2_rows or _rot3_rows.
+    With M = Q^T F the squared misfit of Q exp([d]_x) is ||M||^2 -
+    2 tr(exp(-[d]_x) M) + 3, whose gradient in d is -2a, a = (M21 - M12,
+    M02 - M20, M10 - M01), and whose Hessian is 2A, A = tr M id - sym M. A
+    step solves (A + tau id) d = a, with tau = 0 where A is positive definite
+    and growing from 1e-8 of its entries' sum until it is (Nocedal and Wright,
+    Numerical Optimization, 2nd ed., 3.4). Along a step s of length theta the
+    squared misfit changes by exactly -2 (sin theta / theta) a.s +
+    2 ((1 - cos theta) / theta^2) s^T A s, and s^T A s <= a.s, so a step
+    capped at length 2 lowers it by at least a fifth of the decrement a.s:
+    the Armijo backtracking on the misfit only guards against roundoff.
+    Where A is positive definite and |d| <= 1e-3 (the quadratic region) full
+    steps are taken untested, because the squared misfit phi cannot resolve
+    steps below about sqrt(eps phi / curvature), and a stop on the value
+    would leave the witness that far from the minimizer. The descent stops
+    when the decrement a.d reaches the roundoff `noise` of a along d, when
+    inside the quadratic region it no longer falls below a quarter of the
+    previous one, when no step of 2^-30 passes the Armijo test, or before
+    the evaluations, the start's included, would exceed budget. Every
+    evaluation builds one rotation with _rot3_rows.
     """
-    rotation, product, misfit, axial, solve, diagonal = (
-        (lambda w: _rot2_rows(w[0]), _product2, _misfit2, _axial2, _spd_solve1, (0,)) if len(F) == 2
-        else (_rot3_rows, _product3, _misfit3, _axial3, _spd_solve3, (0, 2, 5)))
-    Q = rotation(w0)
-    f, M = misfit(Q, F)
+    Q = _rot3_rows(w0)
+    f, M = _misfit3(Q, F)
     evals, steps, last = 1, 0, math.inf
     while evals < budget:
-        a, A = axial(M)
-        tau, shifted = 0.0, A
-        while (d := solve(shifted, a)) is None:
-            tau = max(2.0 * tau, 1e-8 * sum(map(abs, A)), -2.0 * min(A[i] for i in diagonal))
-            shifted = [x + tau if i in diagonal else x for i, x in enumerate(A)]
-        # dot products summed left to right (sum() compensates from Python 3.12 on)
-        length, dec = math.sqrt(reduce(add, map(mul, d, d))), reduce(add, map(mul, a, d))
+        (m00, m01, m02), (m10, m11, m12), (m20, m21, m22) = M
+        a = (m21 - m12, m02 - m20, m10 - m01)
+        t = m00 + m11 + m22
+        A = [t - m00, -0.5 * (m01 + m10), t - m11, -0.5 * (m02 + m20), -0.5 * (m12 + m21), t - m22]
+        tau = 0.0
+        while (d := _spd_solve3([A[0] + tau, A[1], A[2] + tau, A[3], A[4], A[5] + tau], a)) is None:
+            tau = max(2.0 * tau, 1e-8 * sum(map(abs, A)), -2.0 * min(A[0], A[2], A[5]))
+        length = math.sqrt(d[0] * d[0] + d[1] * d[1] + d[2] * d[2])
+        dec = a[0] * d[0] + a[1] * d[1] + a[2] * d[2]
         if dec <= noise * length:
             break
         quadratic = tau == 0.0 and length <= 1e-3
@@ -357,8 +305,16 @@ def _rotation_newton(
             d, dec = [2.0 / length * x for x in d], 2.0 / length * dec
         alpha = 1.0
         while True:
-            trial = product(Q, rotation([alpha * x for x in d]))
-            f_trial, M_trial = misfit(trial, F)
+            (p00, p01, p02), (p10, p11, p12), (p20, p21, p22) = Q
+            E = _rot3_rows([alpha * x for x in d])
+            (e00, e01, e02), (e10, e11, e12), (e20, e21, e22) = E
+            trial = ((p00 * e00 + p01 * e10 + p02 * e20, p00 * e01 + p01 * e11 + p02 * e21,
+                      p00 * e02 + p01 * e12 + p02 * e22),
+                     (p10 * e00 + p11 * e10 + p12 * e20, p10 * e01 + p11 * e11 + p12 * e21,
+                      p10 * e02 + p11 * e12 + p12 * e22),
+                     (p20 * e00 + p21 * e10 + p22 * e20, p20 * e01 + p21 * e11 + p22 * e21,
+                      p20 * e02 + p21 * e12 + p22 * e22))
+            f_trial, M_trial = _misfit3(trial, F)
             evals += 1
             if quadratic or f_trial * f_trial <= f * f - 2e-4 * alpha * dec:
                 break
@@ -386,27 +342,37 @@ def _input(F: Mat, dims: Tuple[int, ...], search: str) -> np.ndarray:
 def grioli_oracle(F: Mat, cfg: OracleConfig) -> OracleVerdict:
     """Minimize ||Q^T F - id|| over rotations by direct search.
 
-    Safeguarded Newton descents on SO(n) (_rotation_newton) run in order
+    Safeguarded Newton descents on SO(3) (_rotation_newton) run in order
     from 20 fixed low-discrepancy starts, each within cfg.max_iters
-    evaluations, and the search reads nothing but F. It stops after the
-    third descent that ends on the best rotation so far (misfit within
-    1e-12 relative, or within 8 eps ||F||, the roundoff the descents stop
-    on; rotation within 1e-8 in the Frobenius norm), and otherwise runs
-    all 20. The rule rests on the misfit having a single local minimum on
-    SO(n) for det F > 0. For n = 2 that is exact: tr(rot(theta)^T F) =
-    r cos(theta - theta_0) with r > 0. For n = 3, on the 200 spatial draws
+    evaluations, on G = F for a 3x3 F and G = diag(F, s) for a 2x2 F, with
+    s = ||F|| / sqrt(2) the root mean square of F's singular values, so the
+    search reads nothing but F. The polar factor of diag(F, s) is diag(R, 1)
+    and its misfit there is sqrt(||U - id||^2 + (s - 1)^2), so the planar
+    witness is the top-left block and the planar minimum comes back from
+    the misfit with (s - 1)^2 taken off; |s - 1| <= ||U - id|| / sqrt(2), so
+    that costs at most a factor sqrt(3/2) of the misfit's roundoff. Scaling
+    the third axis with F keeps both blocks resolved at F's scale (with
+    s = 1, a 1e-150 F would leave the planar angle below the roundoff).
+
+    The search stops after the third descent that ends on the best rotation
+    so far (misfit within 1e-12 relative, or within 8 eps ||G||, the
+    roundoff the descents stop on; rotation within 1e-8 in the Frobenius
+    norm), and otherwise runs all 20. The rule rests on the misfit having a
+    single local minimum on SO(3) for det G > 0. On the 200 spatial draws
     of acceptance criterion 2 all 20 descents of a draw ended within
     8.2e-15 of the polar factor and their minima spread by at most 2.4e-15
     (relative), so the first three agree and their best lies within
-    8.5e-16 of the best of all 20. The floor matters where the misfit is
-    small: for F within 1e-6 of a rotation, or F = id, the misfit's
-    roundoff exceeds 1e-12 of it, and without the floor the descents never
-    agree and all 20 run.
+    8.5e-16 of the best of all 20; the first three agree on each of its
+    1000 planar draws too. The floor matters where the misfit is small:
+    for F within 1e-6 of a rotation, or F = id, the misfit's roundoff
+    exceeds 1e-12 of it, and without the floor the descents never agree
+    and all 20 run.
 
     The verdict passes when the search lands within cfg.tol of the polar
-    closed form, on either side (or within the roundoff 8 eps ||F|| where
-    that is larger), and the best rotation lands on the polar factor. The stats give the descents run (starts), their accepted
-    Newton steps and objective evaluations, and the seconds.
+    closed form, on either side (or within the roundoff 8 eps ||G|| where
+    that is larger), and the best rotation lands on the polar factor. The
+    stats give the descents run (starts), their accepted Newton steps and
+    objective evaluations, and the seconds.
     """
     t_start = time.perf_counter()
     F = _input(F, (2, 3), "rotation search supports")
@@ -415,16 +381,22 @@ def grioli_oracle(F: Mat, cfg: OracleConfig) -> OracleVerdict:
     closed = report.distance
 
     rows = F.tolist()
-    noise = 8.0 * 2.0 ** -52 * math.hypot(*F.ravel().tolist())  # roundoff of a = axial(Q^T F)
+    if n == 2:  # G = diag(F, s)
+        s = math.hypot(*rows[0], *rows[1]) / math.sqrt(2.0)
+        rows = [rows[0] + [0.0], rows[1] + [0.0], [0.0, 0.0, s]]
+    noise = 8.0 * 2.0 ** -52 * math.hypot(*sum(rows, []))  # roundoff of a = axial(Q^T G)
     runs = []
-    for w0 in _kronecker_circle_starts(20) if n == 2 else _kronecker_ball_starts(20):
+    for w0 in _kronecker_ball_starts(20):
         runs.append(_rotation_newton(rows, w0, cfg.max_iters, noise))
         q_rows, best, _, _ = min(runs, key=lambda run: run[1])  # the first of equal minima
         q_flat, agree = sum(q_rows, ()), max(1e-12 * best, noise)
         if sum(abs(f - best) <= agree and math.dist(sum(Q, ()), q_flat) <= 1e-8
                for Q, f, _, _ in runs) >= 3:
             break
-    q_best = np.array(q_rows)
+    q_best = np.array(q_rows)[:n, :n]
+    if n == 2:  # the misfit of G less (s - 1)^2, in factors that cannot overflow
+        lift = abs(s - 1.0)
+        best = math.sqrt(max(0.0, best - lift)) * math.sqrt(best + lift)
     stats = {"starts": len(runs), "newton_steps": sum(run[3] for run in runs),
              "evaluations": sum(run[2] for run in runs), "seconds": time.perf_counter() - t_start}
 

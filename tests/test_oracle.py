@@ -186,6 +186,8 @@ class TestGrioliOracle:
             inputs = [np.eye(2), -np.eye(2), Q @ np.diag([1.0, 1e-4]), rot2(math.pi - 1e-9) @ U,
                       Q + 1e-6 / np.linalg.norm(nudge) * nudge, 3.0 * Q, 1e150 * Q @ U,
                       1e-150 * Q @ U, Q @ V @ np.diag([1e6, 1e-6]) @ V.T]
+            # quarter turns, where tr(Q^T F) vanishes exactly for some planar Q
+            inputs += [rot2(0.5 * math.pi), rot2(math.pi * (3.0 - math.sqrt(5.0)) + 0.5 * math.pi)]
             for F in inputs:
                 v = grioli_oracle(F, self.CFG)
                 assert v.passed, F.tolist()
@@ -208,7 +210,8 @@ class TestGrioliOracle:
     @pytest.mark.parametrize("n", [2, 3])
     def test_planted_low_distance_fails(self, monkeypatch, n):
         # a closed form 0.1% below the true minimum, with the right minimizer,
-        # must not pass under acceptance criterion 2's config
+        # must not pass under acceptance criterion 2's config, also where the
+        # verdict's roundoff floor exceeds its tolerance
         true_report = oracle.euclid_dist_to_SO
 
         def planted(F):
@@ -219,7 +222,9 @@ class TestGrioliOracle:
         cfg = OracleConfig(seed=102, samples=64, nodes=4, tol=1e-6, max_iters=60000)
         rng = substream(102, n - 2)
         for _ in range(5):
-            assert not grioli_oracle(random_gl(rng, n), cfg).passed
+            F = random_gl(rng, n)
+            assert not grioli_oracle(F, cfg).passed
+            assert not grioli_oracle(1e150 * F, cfg).passed
 
     @pytest.mark.parametrize("plant", ["distance", "minimizer"])
     @pytest.mark.parametrize("n", [2, 3])
@@ -242,10 +247,8 @@ class TestGrioliOracle:
 
     def test_stats_count_the_work(self, monkeypatch):
         # every objective evaluation builds one rotation
-        calls = []
-        for name in ("_rot2_rows", "_rot3_rows"):
-            build = getattr(oracle, name)
-            monkeypatch.setattr(oracle, name, lambda w, build=build: calls.append(w) or build(w))
+        calls, build = [], oracle._rot3_rows
+        monkeypatch.setattr(oracle, "_rot3_rows", lambda w: calls.append(w) or build(w))
         cfg = OracleConfig(seed=3, samples=40, max_iters=50)
         for F in (F_SHEAR, random_gl(np.random.default_rng(73), 3)):
             calls.clear()
@@ -334,7 +337,10 @@ def test_planar_scalar_misfit_matches_the_matrix_form(near):
         theta = rng.uniform(-math.pi, math.pi)
         F = random_gl(rng, 2) if near == "random" else rot2(theta + 0.1) @ np.diag([1.2, 0.9])
         expect = float(np.linalg.norm(rot2(theta).T @ F - np.eye(2)))
-        value, _ = oracle._misfit2(oracle._rot2_rows(theta), F.tolist())
+        # the misfit the planar search evaluates, of diag(rot, 1) on diag(F, s), with s = 1
+        (c, ms), (s, _) = oracle._rot2_rows(theta)
+        value, _ = oracle._misfit3(((c, ms, 0.0), (s, c, 0.0), (0.0, 0.0, 1.0)),
+                                   scipy.linalg.block_diag(F, 1.0).tolist())
         assert value == pytest.approx(expect, rel=1e-15, abs=0.0)
 
 
