@@ -214,10 +214,13 @@ def euclid_dist_to_SO(F: Mat) -> DistanceReport:
     """Euclidean (Frobenius) distance from F to the rotation group.
 
     The minimum of ||F - Q|| over rotations Q is ||U - id||, the root of the
-    sum of (s_i - 1)^2, attained at the polar rotation.
+    sum of (s_i - 1)^2, attained at the polar rotation. Raises
+    OverflowError where that sum leaves the double range.
     """
     record = spectral_record(F)
     d2 = sum([(x - 1.0) * (x - 1.0) for x in record.stretches])
+    if not math.isfinite(d2):
+        raise OverflowError("Euclidean distance overflows double precision")
     return DistanceReport(squared_distance=d2, minimizer=record.rotation.copy(), method="closed_form")
 
 

@@ -17,9 +17,10 @@ Inner loops avoid numpy calls on tiny matrices, whose dispatch cost dwarfs
 their arithmetic. The path kernels hold node stacks entry-major, shape
 (n, n, ..., N+1) with the long axes last, so for any n each numpy call works
 on vectors of N x 16 entries: a product is one broadcast multiply and a sum
-over a length-n axis, a 2x2 inverse the adjugate. The planar objective
-writes its nodes, X0_k (id + xi_k) and the start rotation, out by entries
-in that layout, and pulls the gradient back the same way. The chord pass
+over a length-n axis, a 2x2 inverse the adjugate. The planar objective's
+variables are the start angle and the interior nodes' own entries (an
+unshifted Newton step is the same in any affine chart), so its node stack
+and gradient are reshapes of that layout. The chord pass
 that gives the energy and its gradient also gives the exact Hessian, from
 small Gram products of its stacks summed over the rule by stacked matmuls
 (_chord_hessians), so a Newton step costs one pass per trial, and the
@@ -756,48 +757,39 @@ def _path_objective(
     the planar node stack X0 (N+1, 2, 2).
 
     x is the free start angle (none if theta0 is None: node 0 stays that of
-    X0) and one xi_k per interior node, placed at X0_k (id + xi_k); node N
-    stays F. As the metric is left-invariant, xi_k weighs moves the way the
-    metric does at the start; in raw entries a node with a small singular
-    value s weighs about 1/s^2 more, which stalled an earlier quasi-Newton
-    descent 2% above the distance. Returns x0, nodes_of (x -> entry-major
-    node stack (2, 2, N+1)) and energy (x -> _path_energy and its gradient
-    in x, written out entry by entry), which assumes the polyline lies in
-    GL+; it builds the node stack with nodes_of unless given it as nodes.
-    energy(x, hessian=True) adds a _ChordPass of the polyline's length and
-    the Hessian in x: the diagonal blocks of the interior nodes, a
-    stack (N-1, 4, 4), the blocks below them, (N-2, 4, 4), and, with the
-    angle free, its diagonal entry and its 4-vector coupling to interior
-    node 1 (else None). As X_k = X0_k (id + xi_k) is linear in xi_k, a node
-    block maps by J_k = kron(X0_k, id); the angle's entry is
-    d^T D_0 d - <G_0, rot(theta)>, d = d rot(theta) / d theta, with D_0 and
-    G_0 the Hessian block and gradient of node 0.
+    X0) and the interior nodes' entries, node-major (entry (i, j) of node k
+    at free + 4 (k - 1) + 2 i + j); node N stays F. No chart around X0
+    (say one weighing moves as the left-invariant metric does) would
+    help: an unshifted Newton step does not change under an affine change
+    of variables. Returns x0, nodes_of (x -> entry-major node stack
+    (2, 2, N+1)) and energy (x -> _path_energy and its gradient in x),
+    which assumes the polyline lies in GL+; it builds the node stack with
+    nodes_of unless given it as nodes. energy(x, hessian=True) adds a
+    _ChordPass of the polyline's length and the Hessian in x: the diagonal
+    blocks of the interior nodes, a stack (N-1, 4, 4), the blocks below
+    them, (N-2, 4, 4), both sums of chord blocks, and, with the angle
+    free, its diagonal entry and its 4-vector coupling to interior node 1
+    (else None). The angle's entry is d^T D_0 d - <G_0, rot(theta)>,
+    d = d rot(theta) / d theta, with D_0 and G_0 the Hessian block and
+    gradient of node 0.
     """
     n_seg = X0.shape[0] - 1
     free = int(theta0 is not None)
     E0 = np.moveaxis(X0, 0, -1)
-    inner = E0[..., 1:n_seg]  # the entries of X0_k, k = 1 .. N-1
-    J = np.einsum("pik,jl->kpjil", inner, np.eye(2)).reshape(n_seg - 1, 4, 4)
 
     def nodes_of(x: np.ndarray) -> np.ndarray:
         E = E0.copy()
         if free:
             c, s = np.cos(x[0]), np.sin(x[0])
             E[..., 0] = ((c, -s), (s, c))
-        xi = x[free:]  # entry (i, j) of every xi_k is xi[2 i + j::4]
-        for i in range(2):
-            for j in range(2):
-                prod = inner[i, 0] * xi[j::4] + inner[i, 1] * xi[2 + j::4]
-                E[i, j, 1:n_seg] = inner[i, j] + prod
+        E[..., 1:n_seg] = x[free:].reshape(-1, 2, 2).transpose(1, 2, 0)
         return E
 
     def energy(x: np.ndarray, hessian: bool = False, nodes: Optional[np.ndarray] = None) -> tuple:
         value, G, *chords = _path_energy(nodes_of(x) if nodes is None else nodes, p, hessian)
-        Gi, G0 = G[..., 1:n_seg], G[..., 0]
+        G0 = G[..., 0]
         g = np.empty(x.shape)
-        for i in range(2):  # X0_k^T G_k
-            for j in range(2):
-                g[free + 2 * i + j::4] = inner[0, i] * Gi[0, j] + inner[1, i] * Gi[1, j]
+        g[free:] = G[..., 1:n_seg].transpose(2, 0, 1).reshape(-1)
         if free:  # d rot2(theta) / d theta = [[-sin, -cos], [cos, -sin]]
             c, s = np.cos(x[0]), np.sin(x[0])
             g[0] = c * (G0[1, 0] - G0[0, 1]) - s * (G0[0, 0] + G0[1, 1])
@@ -806,17 +798,16 @@ def _path_objective(
 
         def in_x() -> Tuple[np.ndarray, np.ndarray, Optional[Tuple[float, np.ndarray]]]:
             K = chords[0]().reshape(n_seg, 2, 4, 2, 4)  # [chord, start/end node, entry]
-            diag = J.swapaxes(1, 2) @ (K[:-1, 1, :, 1] + K[1:, 0, :, 0]) @ J
-            sub = J[1:].swapaxes(1, 2) @ K[1:-1, 1, :, 0] @ J[:-1]
+            diag, sub = K[:-1, 1, :, 1] + K[1:, 0, :, 0], K[1:-1, 1, :, 0]
             if not free:
                 return diag, sub, None
             d = np.array([-s, -c, c, -s])
             bend = c * (G0[0, 0] + G0[1, 1]) + s * (G0[1, 0] - G0[0, 1])  # <G_0, rot(theta)>
-            return diag, sub, (float(d @ K[0, 0, :, 0] @ d - bend), d @ K[0, 0, :, 1] @ J[0])
+            return diag, sub, (float(d @ K[0, 0, :, 0] @ d - bend), d @ K[0, 0, :, 1])
 
         return value, g, _ChordPass(in_x, chords[0].length)
 
-    return np.concatenate([[theta0] if free else [], np.zeros(4 * (n_seg - 1))]), nodes_of, energy
+    return np.concatenate([[theta0] if free else [], X0[1:n_seg].reshape(-1)]), nodes_of, energy
 
 
 def _run_path_search(

@@ -88,7 +88,7 @@ def test_criterion_01_geodesic_distance_oracle():
 
 
 def test_criterion_02_grioli_rotation_minimum():
-    """Sweep/descent minimum of the rotation misfit equals ||U - id||."""
+    """Newton-descent minimum of the rotation misfit equals ||U - id||."""
     cfg = OracleConfig(seed=102, samples=64, nodes=4, tol=1e-6, max_iters=60000)
     rng = substream(102, 0)
     for _ in range(1000):

@@ -488,6 +488,14 @@ class TestPath:
         assert code == 2
         assert err.startswith("invalid input: floating-point overflow (Kirchhoff stress")
 
+    def test_euclidean_distance_overflow_exits_2(self, capsys):
+        # rather than print "dist_euclid": Infinity, which is not JSON
+        code, out, err = run_cli(
+            ["measure", "--matrix", "[[1e200,0],[0,1e200]]", "--format", "json"], capsys)
+        assert (code, out) == (2, "")
+        assert err == ("invalid input: floating-point overflow "
+                       "(Euclidean distance overflows double precision)\n")
+
 
 class TestErrorExits:
     """Every rejected input ends in one stderr line and its exit code."""

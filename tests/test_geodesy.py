@@ -401,6 +401,13 @@ class TestEuclidDistToSO:
         assert d_bwd == pytest.approx(0.5, abs=1e-14)
         assert d_fwd - d_bwd == pytest.approx(0.5, abs=1e-14)
 
+    def test_overflow_raises(self):
+        # (1e200 - 1)^2 leaves the double range; 1e150 F still fits
+        with pytest.raises(OverflowError, match="Euclidean distance overflows"):
+            euclid_dist_to_SO(1e200 * np.eye(2))
+        assert euclid_dist_to_SO(1e150 * np.eye(2)).distance == pytest.approx(
+            math.sqrt(2.0) * 1e150, rel=1e-15)
+
 
 class TestRotationGroupDistances:
     def test_coincident(self):

@@ -174,6 +174,12 @@ class TestGrioliOracle:
                 assert abs(v.oracle_value - closed) <= 1e-12 * max(1.0, closed)
                 assert v.stats["evaluations"] <= 2000
 
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_closed_form_overflow_raises(self, n):
+        # the closed form ||U - id|| is past the double range at 1e200 id
+        with pytest.raises(OverflowError):
+            grioli_oracle(1e200 * np.eye(n), self.CFG)
+
     def test_hard_planar_inputs(self):
         # the identity and -id, a flat stretch, a polar angle near pi, F next
         # to a rotation, a conformal F, scalings near the ends of the double
@@ -473,8 +479,8 @@ class TestPolylineLength:
 
 TRIPLES = [MetricParams(1.0, 1.0, 1.0), MetricParams(2.0, 1.0, 1.0), MetricParams(1.0, 3.0, 0.5)]
 F_PATH = np.array([[1.5, 1.2], [-0.7, 0.9]])
-# pinned at theta = 0, the descent to this near-half-turn has trial steps
-# that leave GL+
+# pinned at theta = 0 under the Frobenius metric, the descent to this
+# near-half-turn has trial steps that leave GL+
 F_HALF_TURN = np.array([[-1.8416284933431886, 0.11435705304008659],
                         [-0.1626564684583851, -1.7506016834004976]])
 
@@ -732,7 +738,7 @@ class TestPathEnergySearch:
             pol = polar_decompose(F_HALF_TURN)
             theta_r = math.atan2(pol.rotation[1, 0], pol.rotation[0, 0])
             X0 = oracle._two_phase_nodes(F_HALF_TURN, 0.0, theta_r, pol.right_stretch, 12)
-            x0, nodes_of, energy = _path_objective(X0, None, TRIPLES[2])
+            x0, nodes_of, energy = _path_objective(X0, None, TRIPLES[0])
         else:
             x0, nodes_of, energy = _path_objective(_interp_nodes(F_PATH, 0.2, 12), 0.2, TRIPLES[2])
         stats = {}
@@ -757,15 +763,27 @@ class TestPathEnergySearch:
         assert stats["stop"] == "converged"
         assert value > math.sqrt(dist_squared_to_SO(F, TRIPLES[2]).squared_distance) + 1.0
 
-    def test_pinned_search_escapes_a_saddle(self):
-        # on this input the exact Newton steps reach a saddle of the path
-        # energy (least Hessian eigenvalue -2.4e-6, |g| = 1.2e-8) whose
-        # polyline is 9.3e-7 (relative) longer than the minimum's
+    def test_pinned_search_near_a_conformal_input_reaches_the_minimum(self):
+        # the nearly flat valley of the test above, under another triple and
+        # node count; the search must end on the minimum, not short of it
         F = np.eye(2) + 1e-6 * np.array([[-0.5, -2.1], [-2.3, 0.5]])
         cfg = OracleConfig(nodes=9, max_iters=200000)
         value, stats = _run_path_search(F, MetricParams(1.0, 2.4, 3.0), cfg, pinned_theta=2.0)
-        assert stats["stop"] == "converged" and stats["escapes"] >= 1
+        assert stats["stop"] == "converged"
         assert value <= 4.2747245641407625 * (1.0 + 1e-12)
+
+    def test_pinned_search_escapes_a_saddle(self):
+        # on this near-conformal input the exact Newton steps reach a saddle
+        # of the path energy (least Hessian eigenvalue -4.0e-7,
+        # |g| = 7.4e-7), where the shifted step stalls; the escape along the
+        # least eigenvector lowers the energy and the search ends there
+        F = np.array([[1.0992965972116304, 1.3038006436064465e-08],
+                      [-1.2299784378019727e-09, 1.099296610828873]])
+        cfg = OracleConfig(nodes=9, max_iters=200000)
+        value, stats = _run_path_search(F, MetricParams(1.0, 3.0, 1.0), cfg,
+                                        pinned_theta=1.4134983635240443)
+        assert stats["stop"] == "converged" and stats["escapes"] >= 1
+        assert value <= 3.4188386745626222  # the saddle's polyline length
 
     @pytest.mark.parametrize("pinned", [None, 0.0, 2.5])
     def test_identical_calls_are_bit_identical(self, pinned):
