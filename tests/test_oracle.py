@@ -27,7 +27,6 @@ from geolog.oracle import (
     substream,
     weighted_logmin_oracle,
     _block_solve,
-    _interp_nodes,
     _least_eigenvector,
     _in_gl_plus,
     _newton,
@@ -38,6 +37,7 @@ from geolog.oracle import (
     _principal_logs,
     _random_rotations,
     _run_path_search,
+    _start_nodes,
 )
 
 PHI = (1.0 + math.sqrt(5.0)) / 2.0
@@ -231,6 +231,22 @@ class TestGrioliOracle:
             F = random_gl(rng, n)
             assert not grioli_oracle(F, cfg).passed
             assert not grioli_oracle(1e150 * F, cfg).passed
+
+    @pytest.mark.parametrize("F", [rot2(0.3) @ np.diag([1.001, 1.0]), np.diag([1.001, 1.0, 0.9995])],
+                             ids=["planar", "spatial"])
+    def test_planted_low_distance_fails_under_a_loose_tol(self, monkeypatch, F):
+        # a closed form 1% below a small minimum lies within 0.02 of it; the
+        # verdict reads no tolerance from the config, so it must still fail
+        true_report = oracle.euclid_dist_to_SO
+
+        def planted(G):
+            r = true_report(G)
+            return DistanceReport((0.99 * r.distance) ** 2, r.minimizer, "closed_form")
+
+        monkeypatch.setattr(oracle, "euclid_dist_to_SO", planted)
+        v = grioli_oracle(F, OracleConfig(tol=0.02))
+        assert abs(v.oracle_value - v.closed_form_value) < 0.02
+        assert not v.passed
 
     @pytest.mark.parametrize("plant", ["distance", "minimizer"])
     @pytest.mark.parametrize("n", [2, 3])
@@ -479,8 +495,8 @@ class TestPolylineLength:
 
 TRIPLES = [MetricParams(1.0, 1.0, 1.0), MetricParams(2.0, 1.0, 1.0), MetricParams(1.0, 3.0, 0.5)]
 F_PATH = np.array([[1.5, 1.2], [-0.7, 0.9]])
-# pinned at theta = 0 under the Frobenius metric, the descent to this
-# near-half-turn has trial steps that leave GL+
+# pinned at theta = 0 under the metric mu_c = 3 (TRIPLES[2]), the descent to
+# this near-half-turn has trial steps that leave GL+
 F_HALF_TURN = np.array([[-1.8416284933431886, 0.11435705304008659],
                         [-0.1626564684583851, -1.7506016834004976]])
 
@@ -533,13 +549,28 @@ class TestPathKernels:
     def test_planar_polylines_match_the_loop_reference(self, p, n_seg):
         rng = np.random.default_rng(61 + n_seg)
         F = random_gl(rng, 2)
-        pol = polar_decompose(F)
-        theta_r = math.atan2(pol.rotation[1, 0], pol.rotation[0, 0])
-        X = oracle._two_phase_nodes(F, rng.uniform(-math.pi, math.pi), theta_r,
-                                    pol.right_stretch, n_seg)
+        X = _start_nodes(F, rng.uniform(-math.pi, math.pi), n_seg)
         X[1:-1] *= 1.0 + 0.02 * rng.standard_normal((n_seg - 1, 2, 2))
         assert _in_gl_plus(entry_major(X))
         assert_matches_loop_reference(X, p)
+
+    @pytest.mark.parametrize("n_seg", [4, 12, 80])
+    def test_every_start_chord_lies_in_gl_plus(self, n_seg):
+        # every path search starts here with no fallback: consecutive nodes
+        # share U's frame and turn by at most pi/4, so no chord meets det = 0
+        rng = np.random.default_rng(131 + n_seg)
+        for _ in range(40):
+            B = rot2(rng.uniform(-math.pi, math.pi))
+            R = rot2(rng.uniform(-math.pi, math.pi))
+            F = R @ B @ np.diag(np.exp(rng.uniform(-4.0, 4.0, 2))) @ B.T
+            theta_r = math.atan2(R[1, 0], R[0, 0])
+            turns = np.concatenate([np.linspace(-math.pi, math.pi, 9), rng.uniform(-math.pi, math.pi, 3)])
+            for scale in (1.0, 1e150, 1e-150):
+                for theta0 in theta_r + turns:
+                    X = _start_nodes(scale * F, theta0, n_seg)
+                    assert X.shape == (n_seg + 1, 2, 2) and np.array_equal(X[-1], scale * F)
+                    assert np.allclose(X[0], rot2(theta0), rtol=0.0, atol=1e-15)
+                    assert _in_gl_plus(entry_major(X))
 
     def test_spatial_stack_matches_the_loop_reference(self):
         rng = np.random.default_rng(67)
@@ -603,7 +634,7 @@ class TestNewtonKernels:
     @pytest.mark.parametrize("n_seg", [3, 6, 12])  # 3: long chords
     def test_coloured_hessian_matches_central_differences(self, p, pinned, n_seg):
         theta0 = 0.2
-        x0, nodes_of, energy = _path_objective(_interp_nodes(F_PATH, theta0, n_seg),
+        x0, nodes_of, energy = _path_objective(_start_nodes(F_PATH, theta0, n_seg),
                                                None if pinned else theta0, p)
         x = x0 + 0.05 * np.random.default_rng(79).standard_normal(x0.size)
         assert _in_gl_plus(nodes_of(x))
@@ -713,7 +744,7 @@ class TestPathEnergySearch:
     @pytest.mark.parametrize("pinned", [False, True], ids=["free", "pinned"])
     def test_gradient_matches_central_differences(self, p, pinned):
         theta0 = 0.2
-        X0 = _interp_nodes(F_PATH, theta0, 10)
+        X0 = _start_nodes(F_PATH, theta0, 10)
         x0, nodes_of, energy = _path_objective(X0, None if pinned else theta0, p)
         x = x0 + 0.05 * np.random.default_rng(53).standard_normal(x0.size)
         assert _in_gl_plus(nodes_of(x))
@@ -735,12 +766,10 @@ class TestPathEnergySearch:
     @pytest.mark.parametrize("half_turn", [False, True], ids=["free", "pinned-half-turn"])
     def test_accepted_steps_descend_inside_gl_plus(self, half_turn):
         if half_turn:
-            pol = polar_decompose(F_HALF_TURN)
-            theta_r = math.atan2(pol.rotation[1, 0], pol.rotation[0, 0])
-            X0 = oracle._two_phase_nodes(F_HALF_TURN, 0.0, theta_r, pol.right_stretch, 12)
-            x0, nodes_of, energy = _path_objective(X0, None, TRIPLES[0])
+            X0 = _start_nodes(F_HALF_TURN, 0.0, 12)
+            x0, nodes_of, energy = _path_objective(X0, None, TRIPLES[2])
         else:
-            x0, nodes_of, energy = _path_objective(_interp_nodes(F_PATH, 0.2, 12), 0.2, TRIPLES[2])
+            x0, nodes_of, energy = _path_objective(_start_nodes(F_PATH, 0.2, 12), 0.2, TRIPLES[2])
         stats = {}
         values = []
         for x, value in _newton(x0, nodes_of, energy, 20000, stats):
@@ -750,7 +779,7 @@ class TestPathEnergySearch:
         assert all(b < a for a, b in zip(values, values[1:]))
         assert len(values) == stats["newton_steps"] + 1
         assert stats["stop"] == "converged"
-        if half_turn:  # the unit Newton step from the two-phase start leaves GL+
+        if half_turn:  # a unit Newton step from the turning start leaves GL+
             assert stats["gl_halvings"] > 0
 
     def test_pinned_search_near_a_conformal_input_converges(self):
@@ -801,12 +830,11 @@ class TestPathEnergySearch:
             v = geodesic_distance_oracle(F_PATH, TRIPLES[1], cfg)
             s = v.stats
             assert set(s) == {"newton_steps", "evaluations", "shifts", "backtracks",
-                              "gl_halvings", "escapes", "start", "nodes", "theta", "stop",
-                              "seconds"}
+                              "gl_halvings", "escapes", "nodes", "theta", "stop", "seconds"}
             # every step costs at least one trial, whose chord pass also
             # gives the next step's Hessian
             assert 1 + s["newton_steps"] <= s["evaluations"] <= max_iters
-            assert s["stop"] == stop and s["start"] == "interp" and s["nodes"] == 24
+            assert s["stop"] == stop and s["nodes"] == 24
             assert s["seconds"] > 0.0
             assert np.array_equal(v.witness, rot2(s["theta"]))
             tag = "PASS" if v.passed else "FAIL"
